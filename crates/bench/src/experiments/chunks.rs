@@ -81,7 +81,7 @@ fn run_arm(
 ) -> (ArmRun, Option<kishu_storage::ChunkStats>) {
     let path = dir.join(format!("chunks-{name}.log"));
     let _ = std::fs::remove_file(&path);
-    let store = FileStore::create_with(&path, cfg, true).expect("create bench store");
+    let store = FileStore::create_with(&path, cfg).expect("create bench store");
     let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
     for cell in workload_cells(scale) {
         s.run_cell(&cell).expect("chunks workload parses");

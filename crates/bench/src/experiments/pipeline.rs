@@ -336,12 +336,14 @@ mod tests {
         let off = run(0.05, 2, false);
         assert_eq!(off.blobs_deduped, 0);
         assert_eq!(off.bytes_logical, r.bytes_logical);
-        // With truthful put receipts, the dedup-off arm writes the same
-        // physical bytes: the store's content-addressed id layer catches
-        // the repeats anyway and its receipt says so. Session-level dedup
-        // is a metadata optimization (skip the put entirely), visible in
-        // `blobs_deduped`, not in physical bytes.
-        assert_eq!(off.bytes_written, r.bytes_written);
+        // With truthful put receipts, the dedup-off arm writes almost the
+        // same physical bytes: the store's chunk layer finds every chunk
+        // of a repeat put already stored, and the put appends only its
+        // manifest record. Session-level dedup is a metadata optimization
+        // (skip the put entirely), visible in `blobs_deduped`, not in
+        // chunk bytes.
+        assert!(off.bytes_written > r.bytes_written, "{off:?} vs {r:?}");
+        assert!((off.bytes_written - r.bytes_written) * 100 < r.bytes_written, "{off:?} vs {r:?}");
     }
 
     #[test]

@@ -1291,50 +1291,14 @@ impl KishuSession {
     /// earlier plan entry's recursion may supersede it first — exactly as
     /// the serial path behaves).
     fn prefetch_plan_blobs(&mut self, load: &[(CoVarKey, NodeId)], ctx: &mut RestoreCtx) {
-        enum Fetched {
-            /// Verified payload straight from the read cache.
-            Cached(Vec<u8>),
-            /// Sealed bytes from the store, pending CRC + charge.
-            Sealed { blob: BlobId, sealed: Vec<u8> },
-            /// Unreadable even after retries.
-            Failed,
-        }
         // Phase 1: sequential cache consults and store reads, plan order.
         let fetch_sp = self.trace.span("checkout.fetch");
-        let mut fetched: Vec<((Vec<String>, NodeId), Fetched)> = Vec::new();
+        let mut fetched: Vec<((Vec<String>, NodeId), BlobId, Fetched)> = Vec::new();
         for (key, version) in load {
             let Some(sc) = self.graph.stored(key, *version) else { continue };
             let Some(blob) = sc.blob else { continue };
             let memo_key = (key.iter().cloned().collect::<Vec<String>>(), *version);
-            let mut sp = self.trace.span("store.get");
-            sp.arg("blob", blob);
-            let hit = self
-                .blob_keys
-                .get(&blob)
-                .copied()
-                .and_then(|k| self.read_cache.get(k));
-            let f = match hit {
-                Some(payload) => {
-                    sp.arg("cached", true);
-                    Fetched::Cached(payload)
-                }
-                None => {
-                    let retries = self.config.store_retries;
-                    let store = &self.store;
-                    let trace = &self.trace;
-                    match retry_io(trace, retries, || store.get(blob)) {
-                        Ok(sealed) => {
-                            sp.arg("bytes", sealed.len());
-                            Fetched::Sealed { blob, sealed }
-                        }
-                        Err(_) => {
-                            sp.arg("failed", true);
-                            Fetched::Failed
-                        }
-                    }
-                }
-            };
-            fetched.push((memo_key, f));
+            fetched.push((memo_key, blob, self.fetch_stored(blob)));
         }
         ctx.fetch_ns = fetch_sp.end();
         // Phase 2: CRC + decode charge of the cold payloads, fanned out.
@@ -1345,17 +1309,17 @@ impl KishuSession {
         let trace = &self.trace;
         let jobs: Vec<_> = fetched
             .iter()
-            .map(|(_, f)| {
+            .map(|(_, blob, f)| {
                 move || {
                     trace.worker_scope(parent, || match f {
-                        Fetched::Sealed { blob, sealed } => {
+                        Fetched::Sealed(sealed) => {
                             let mut sp = trace.span("checkout.decode");
                             sp.arg("blob", *blob);
                             sp.arg("bytes", sealed.len());
                             let key = content_key(sealed);
                             unseal_blob(sealed).map(|payload| {
                                 simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
-                                (payload.to_vec(), key, *blob)
+                                (payload.to_vec(), key)
                             })
                         }
                         // Cache hits carry no worker-side work; failures
@@ -1367,23 +1331,47 @@ impl KishuSession {
             .collect();
         let verified = kishu_testkit::pool::run(self.config.restore_workers.max(1), jobs);
         ctx.verify_ns = verify_sp.end();
-        for ((memo_key, f), v) in fetched.into_iter().zip(verified) {
+        for ((memo_key, blob, f), v) in fetched.into_iter().zip(verified) {
             let outcome = match (f, v) {
                 (Fetched::Cached(payload), _) => Prefetched::Ready {
                     payload,
                     cached: true,
                     cache_key: None,
                 },
-                (Fetched::Sealed { .. }, Some((payload, key, blob))) => Prefetched::Ready {
+                (Fetched::Sealed(_), Some((payload, key))) => Prefetched::Ready {
                     payload,
                     cached: false,
                     cache_key: Some((key, blob)),
                 },
                 // CRC failure or unreadable blob: both degrade to counted
                 // fallback recomputation at consumption time.
-                (Fetched::Sealed { .. }, None) | (Fetched::Failed, _) => Prefetched::Failed,
+                (Fetched::Sealed(_), None) | (Fetched::Failed, _) => Prefetched::Failed,
             };
             ctx.prefetched.insert(memo_key, outcome);
+        }
+    }
+
+    /// One stored blob for the read paths (checkout and deep diff): the
+    /// read cache through `blob_keys` first, else a retried store read.
+    /// A blob whose content key is not known yet counts as a cache miss
+    /// (or a disabled lookup), exactly like an absent key.
+    fn fetch_stored(&mut self, blob: BlobId) -> Fetched {
+        let mut sp = self.trace.span("store.get");
+        sp.arg("blob", blob);
+        if let Some(payload) = self.read_cache.lookup(self.blob_keys.get(&blob).copied()) {
+            sp.arg("cached", true);
+            return Fetched::Cached(payload);
+        }
+        let store = &self.store;
+        match retry_io(&self.trace, self.config.store_retries, || store.get(blob)) {
+            Ok(sealed) => {
+                sp.arg("bytes", sealed.len());
+                Fetched::Sealed(sealed)
+            }
+            Err(_) => {
+                sp.arg("failed", true);
+                Fetched::Failed
+            }
         }
     }
 
@@ -1394,41 +1382,25 @@ impl KishuSession {
     /// `None` means nothing is stored for this version (no blob id).
     fn fetch_blob_serial(&mut self, key: &CoVarKey, version: NodeId) -> Option<Prefetched> {
         let blob = self.graph.stored(key, version)?.blob?;
-        let mut sp = self.trace.span("store.get");
-        sp.arg("blob", blob);
-        if let Some(payload) = self
-            .blob_keys
-            .get(&blob)
-            .copied()
-            .and_then(|k| self.read_cache.get(k))
-        {
-            sp.arg("cached", true);
-            return Some(Prefetched::Ready {
+        Some(match self.fetch_stored(blob) {
+            Fetched::Cached(payload) => Prefetched::Ready {
                 payload,
                 cached: true,
                 cache_key: None,
-            });
-        }
-        let retries = self.config.store_retries;
-        let store = &self.store;
-        let trace = &self.trace;
-        match retry_io(trace, retries, || store.get(blob)) {
-            Ok(sealed) => {
-                let ck = content_key(&sealed);
-                match unseal_blob(&sealed) {
-                    Some(payload) => {
-                        simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
-                        Some(Prefetched::Ready {
-                            payload: payload.to_vec(),
-                            cached: false,
-                            cache_key: Some((ck, blob)),
-                        })
+            },
+            Fetched::Sealed(sealed) => match unseal_blob(&sealed) {
+                Some(payload) => {
+                    simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
+                    Prefetched::Ready {
+                        payload: payload.to_vec(),
+                        cached: false,
+                        cache_key: Some((content_key(&sealed), blob)),
                     }
-                    None => Some(Prefetched::Failed),
                 }
-            }
-            Err(_) => Some(Prefetched::Failed),
-        }
+                None => Prefetched::Failed,
+            },
+            Fetched::Failed => Prefetched::Failed,
+        })
     }
 
     /// Materialize one versioned co-variable: load its checkpoint if
@@ -1722,18 +1694,11 @@ impl KishuSession {
     /// nothing is stored or the blob is unreadable/corrupt.
     fn fetch_payload_for_query(&mut self, key: &CoVarKey, version: NodeId) -> Option<Vec<u8>> {
         let blob = self.graph.stored(key, version)?.blob?;
-        if let Some(payload) = self
-            .blob_keys
-            .get(&blob)
-            .copied()
-            .and_then(|k| self.read_cache.get(k))
-        {
-            return Some(payload);
-        }
-        let retries = self.config.store_retries;
-        let store = &self.store;
-        let trace = &self.trace;
-        let sealed = retry_io(trace, retries, || store.get(blob)).ok()?;
+        let sealed = match self.fetch_stored(blob) {
+            Fetched::Cached(payload) => return Some(payload),
+            Fetched::Sealed(sealed) => sealed,
+            Fetched::Failed => return None,
+        };
         let ck = content_key(&sealed);
         let payload = unseal_blob(&sealed)?.to_vec();
         self.read_cache.insert(ck, &payload);
@@ -2128,6 +2093,16 @@ enum Prefetched {
     Failed,
 }
 
+/// One store read on the read paths ([`KishuSession::fetch_stored`]).
+enum Fetched {
+    /// Verified payload straight from the read cache.
+    Cached(Vec<u8>),
+    /// Sealed bytes from the store, pending CRC + decode.
+    Sealed(Vec<u8>),
+    /// Unreadable even after retries.
+    Failed,
+}
+
 /// Per-checkout restoration state: memoized materializations, the current
 /// recursion path for real-cycle detection, the pipeline's prefetched
 /// payloads, and the count of store reads that failed and were swallowed by
@@ -2465,6 +2440,23 @@ mod tests {
         assert_eq!(warm.blobs_cached, warm.loaded.len(), "second undo is all cache hits");
         assert!(s.read_cache_stats().hits >= 1);
         assert_eq!(value(&mut s, "data[0]"), "0.0");
+    }
+
+    #[test]
+    fn cold_checkout_counts_one_miss_per_cold_blob() {
+        // A first read has no known content key yet; it still consulted
+        // the cache and must count as a miss, or the hit ratio overstates.
+        let mut s = session();
+        run(&mut s, "a = zeros(50000)\nb = zeros(40000)\n");
+        let t1 = s.head();
+        run(&mut s, "a[0] = 1.0\nb[0] = 1.0\n");
+        let before = s.read_cache_stats();
+        let cold = s.checkout(t1).expect("undo");
+        let after = s.read_cache_stats();
+        assert_eq!(cold.blobs_cached, 0);
+        assert!(cold.loaded.len() >= 2, "{:?}", cold.loaded);
+        assert_eq!(after.misses - before.misses, cold.loaded.len() as u64);
+        assert_eq!(after.hits, before.hits);
     }
 
     #[test]

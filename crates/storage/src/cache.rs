@@ -94,6 +94,13 @@ impl BlobCache {
 
     /// Look `key` up, refreshing its recency on a hit.
     pub fn get(&mut self, key: ContentKey) -> Option<Vec<u8>> {
+        self.lookup(Some(key))
+    }
+
+    /// Look up a payload whose content key may not be known yet. An
+    /// unknown key cannot hit and is counted exactly like an absent one:
+    /// a miss, or a disabled lookup when the cache is off.
+    pub fn lookup(&mut self, key: Option<ContentKey>) -> Option<Vec<u8>> {
         if self.capacity == 0 {
             // A disabled cache can't miss — don't let the "off" knob
             // masquerade as a 100% miss rate.
@@ -101,8 +108,8 @@ impl BlobCache {
             self.trace.counter("cache.disabled_lookup", 1);
             return None;
         }
-        match self.entries.get_mut(&key) {
-            Some((tick, payload)) => {
+        match key.and_then(|k| Some((k, self.entries.get_mut(&k)?))) {
+            Some((key, (tick, payload))) => {
                 self.recency.remove(tick);
                 self.tick += 1;
                 *tick = self.tick;

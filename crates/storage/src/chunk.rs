@@ -10,8 +10,9 @@
 //!
 //! This module owns the three pieces the stores share:
 //!
-//! * [`ChunkConfig`] — the knobs (`KISHU_CHUNKING`, `KISHU_COMPRESS`,
-//!   `KISHU_CHUNK_MIN/AVG/MAX`) read once at store construction;
+//! * [`ChunkConfig`] — the representation settings, fixed at store
+//!   construction (the `KISHU_CHUNKING` kill-switch is the only one read
+//!   from the environment);
 //! * [`chunk_spans`] — the deterministic cutter;
 //! * [`ChunkLedger`] — chunk-level dedup (by stored-form content key) with
 //!   refcounts and the [`ChunkStats`] aggregate.
@@ -22,7 +23,7 @@
 //! wins, so an incompressible chunk costs exactly one flag byte. Because
 //! the compressor is canonical (same input, same output), deduplicating on
 //! the stored form is equivalent to deduplicating on the raw chunk bytes —
-//! and lets `FileStore::open` rebuild the dedup map from disk without
+//! and lets the log's recovery scan rebuild the dedup map from disk without
 //! decompressing anything.
 //!
 //! Everything here is representation-only: with chunking on or off, a
@@ -62,21 +63,21 @@ const fn gear_table() -> [u64; 256] {
     table
 }
 
-/// Chunking/compression knobs, read once at store construction.
+/// Chunking/compression settings, fixed at store construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkConfig {
     /// Master switch (`KISHU_CHUNKING`, default on). Off means every put
     /// writes a bit-identical v1 frame.
     pub enabled: bool,
-    /// Per-chunk compression (`KISHU_COMPRESS`, default on).
+    /// Per-chunk compression (default on).
     pub compress: bool,
     /// Minimum chunk size; payloads smaller than this bypass chunking
-    /// entirely (`KISHU_CHUNK_MIN`).
+    /// entirely.
     pub min: usize,
     /// Target average chunk size; rounded up to a power of two for the
-    /// boundary mask (`KISHU_CHUNK_AVG`).
+    /// boundary mask.
     pub avg: usize,
-    /// Hard maximum chunk size (`KISHU_CHUNK_MAX`).
+    /// Hard maximum chunk size.
     pub max: usize,
 }
 
@@ -92,36 +93,16 @@ impl Default for ChunkConfig {
     }
 }
 
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-        Err(_) => default,
-    }
-}
-
-fn env_size(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 impl ChunkConfig {
-    /// Read the knobs from the environment (once, at store construction —
-    /// stores never re-read env mid-life, so a run's representation is
-    /// fixed by its starting environment).
+    /// The default configuration with the `KISHU_CHUNKING` kill-switch
+    /// applied (`0`, `false`, `off` or empty turn chunking off). Read once,
+    /// at store construction: a store's representation is fixed for life.
     pub fn from_env() -> Self {
-        let d = ChunkConfig::default();
-        let mut cfg = ChunkConfig {
-            enabled: env_flag("KISHU_CHUNKING", d.enabled),
-            compress: env_flag("KISHU_COMPRESS", d.compress),
-            min: env_size("KISHU_CHUNK_MIN", d.min).max(64),
-            avg: env_size("KISHU_CHUNK_AVG", d.avg),
-            max: env_size("KISHU_CHUNK_MAX", d.max),
+        let enabled = match std::env::var("KISHU_CHUNKING") {
+            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
+            Err(_) => true,
         };
-        cfg.avg = cfg.avg.max(cfg.min);
-        cfg.max = cfg.max.max(cfg.avg * 2);
-        cfg
+        ChunkConfig { enabled, ..ChunkConfig::default() }
     }
 
     /// The v1 behavior: no chunking, no compression.
@@ -187,17 +168,19 @@ pub fn encode_chunk(raw: &[u8], compress_enabled: bool) -> Vec<u8> {
     out
 }
 
-/// Decode a stored-form chunk back to its raw bytes.
-pub fn decode_chunk(stored: &[u8]) -> io::Result<Vec<u8>> {
+/// Decode a stored-form chunk, appending its raw bytes to `out`.
+pub fn decode_chunk(stored: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     match stored.split_first() {
-        Some((&CHUNK_STORED, data)) => Ok(data.to_vec()),
+        Some((&CHUNK_STORED, data)) => out.extend_from_slice(data),
         Some((&CHUNK_COMPRESSED, data)) => {
-            compress::decompress(data).ok_or_else(|| bad("chunk failed to decompress"))
+            let raw = compress::decompress(data).ok_or_else(|| bad("chunk failed to decompress"))?;
+            out.extend_from_slice(&raw);
         }
-        Some(_) => Err(bad("unknown chunk flag")),
-        None => Err(bad("empty chunk record")),
+        Some(_) => return Err(bad("unknown chunk flag")),
+        None => return Err(bad("empty chunk record")),
     }
+    Ok(())
 }
 
 /// Raw (pre-compression) length of a stored-form chunk, without
@@ -270,7 +253,7 @@ pub struct IngestReceipt {
     pub raw_bytes_written: u64,
 }
 
-/// Chunk-level dedup index with refcounts.
+/// Chunk-level dedup index and accounting.
 ///
 /// Ords are dense, assigned in append order by the owning store; the
 /// ledger maps stored-form content keys to ords so repeat chunks resolve
@@ -278,7 +261,6 @@ pub struct IngestReceipt {
 #[derive(Debug, Default)]
 pub struct ChunkLedger {
     dedup: HashMap<ContentKey, u32>,
-    refs: Vec<u64>,
     stats: ChunkStats,
 }
 
@@ -322,44 +304,30 @@ impl ChunkLedger {
                     ord
                 }
             };
-            self.add_ref(ord);
             ords.push(ord);
         }
+        self.add_refs(ords.len() as u64);
         Ok((ords, receipt))
     }
 
     /// Record an already-stored chunk (recovery on `open` replays the log
     /// through this). `ord` must be the next dense ord.
     pub fn register(&mut self, key: ContentKey, ord: u32, raw_len: u64, stored_len: u64) {
-        debug_assert_eq!(ord as usize, self.refs.len(), "ords must stay dense");
+        debug_assert_eq!(ord as u64, self.stats.chunks, "ords must stay dense");
         self.dedup.insert(key, ord);
-        self.refs.push(0);
         self.stats.chunks += 1;
         self.stats.raw_bytes += raw_len;
         self.stats.stored_bytes += stored_len;
     }
 
-    /// Count one more reference onto `ord` (a manifest slot pointing at it).
-    pub fn add_ref(&mut self, ord: u32) {
-        if let Some(r) = self.refs.get_mut(ord as usize) {
-            *r += 1;
-        }
-        self.stats.chunk_refs += 1;
-    }
-
-    /// The ord already holding a chunk with this stored-form key, if any.
-    pub fn lookup(&self, key: ContentKey) -> Option<u32> {
-        self.dedup.get(&key).copied()
+    /// Count `n` more manifest slots pointing at stored chunks.
+    pub fn add_refs(&mut self, n: u64) {
+        self.stats.chunk_refs += n;
     }
 
     /// Aggregate accounting.
     pub fn stats(&self) -> ChunkStats {
         self.stats
-    }
-
-    /// References currently counted onto `ord`.
-    pub fn refs(&self, ord: u32) -> u64 {
-        self.refs.get(ord as usize).copied().unwrap_or(0)
     }
 }
 
@@ -425,13 +393,19 @@ mod tests {
         );
     }
 
+    fn decoded(stored: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        decode_chunk(stored, &mut out).expect("decode");
+        out
+    }
+
     #[test]
     fn encode_decode_roundtrip_and_incompressible_cost() {
         let compressible = vec![7u8; 10_000];
         let stored = encode_chunk(&compressible, true);
         assert_eq!(stored[0], CHUNK_COMPRESSED);
         assert!(stored.len() < 1_000);
-        assert_eq!(decode_chunk(&stored).expect("decode"), compressible);
+        assert_eq!(decoded(&stored), compressible);
         assert_eq!(stored_chunk_raw_len(&stored).expect("raw len"), 10_000);
 
         let mut rng = Rng::seed_from_u64(9);
@@ -439,12 +413,12 @@ mod tests {
         let stored = encode_chunk(&incompressible, true);
         assert_eq!(stored[0], CHUNK_STORED, "compression that loses is not kept");
         assert_eq!(stored.len(), incompressible.len() + 1, "exactly one flag byte of cost");
-        assert_eq!(decode_chunk(&stored).expect("decode"), incompressible);
+        assert_eq!(decoded(&stored), incompressible);
         assert_eq!(stored_chunk_raw_len(&stored).expect("raw len"), 4096);
 
         let plain = encode_chunk(&compressible, false);
         assert_eq!(plain[0], CHUNK_STORED);
-        assert_eq!(decode_chunk(&plain).expect("decode"), compressible);
+        assert_eq!(decoded(&plain), compressible);
     }
 
     #[test]

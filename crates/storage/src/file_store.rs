@@ -1,545 +1,80 @@
-//! Durable append-only log store.
+//! Durable blob store: the record log ([`crate::record_log`]) over a file.
 //!
-//! Record layout (little-endian), one frame per record:
-//!
-//! ```text
-//! +--------+----------+-----------+-------------+
-//! | marker | len: u32 | crc32: u32| payload     |
-//! +--------+----------+-----------+-------------+
-//! ```
-//!
-//! Three markers share the framing (storage engine v2):
-//!
-//! * `0x4B` ('K') — a **v1 blob**: the payload is the logical blob verbatim.
-//!   The only record type with chunking off (`KISHU_CHUNKING=0` produces
-//!   bit-identical v1 logs), and still what sub-minimum payloads write.
-//! * `0x43` ('C') — a **chunk**: the payload is a stored-form chunk
-//!   (`[flag][data]`, optionally compressed — see [`crate::chunk`]).
-//!   Chunks get dense ords in append order and are shared across blobs.
-//! * `0x4D` ('M') — a **manifest**: one logical blob as
-//!   `[raw_len: u64][nchunks: u32][chunk ord: u32 × n]`. A manifest is
-//!   always appended *after* every chunk it references, so torn-tail
-//!   recovery composes: a blob exists iff its manifest survived.
-//!
-//! The single-byte record marker plus the CRC over the payload makes torn
-//! tail writes detectable: on open, the log is scanned, every intact record
-//! is indexed, and the first damaged/truncated record ends recovery — the
-//! file is truncated back to the last intact boundary, exactly the recovery
-//! contract of a write-ahead log.
-//!
-//! **Group commit** (`KISHU_GROUP_COMMIT`, default on): puts append frames
-//! to an in-process buffer on the session thread, in plan order, and the
-//! buffer reaches the file at the next [`CheckpointStore::sync`],
-//! [`CheckpointStore::flush_barrier`], size threshold, or drop. Reads are
-//! served from the buffer transparently, so the logical view is identical
-//! to unbuffered operation; with `sync_on_put` the per-record fsync is
-//! amortized into one fsync at the barrier.
+//! The file holds exactly the log's bytes — record framing, torn-tail
+//! recovery on open and group commit are the engine's; this module only
+//! opens the file and adapts it to the [`Medium`] interface.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use std::sync::Mutex;
-
-use crate::chunk::{decode_chunk, stored_chunk_raw_len, ChunkConfig, ChunkLedger, ChunkStats};
-use crate::crc32::crc32;
-use crate::dedup::content_key;
-use crate::{BlobId, CheckpointStore, PutReceipt, StoreStats};
-
-/// Marker of a v1 full-blob record.
-pub const MARKER_V1: u8 = 0x4B; // 'K'
-/// Marker of a v2 chunk record.
-pub const MARKER_CHUNK: u8 = 0x43; // 'C'
-/// Marker of a v2 manifest record.
-pub const MARKER_MANIFEST: u8 = 0x4D; // 'M'
-
-const HEADER_LEN: u64 = 1 + 4 + 4;
-
-/// Group-commit buffer flush threshold: bounds memory, not durability.
-const PENDING_FLUSH_BYTES: usize = 8 << 20;
-
-/// Append a `marker`-framed record to `out`.
-fn frame_with(out: &mut Vec<u8>, marker: u8, payload: &[u8]) {
-    out.push(marker);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Append `payload` to `out` framed exactly as a v1 [`FileStore::put`]
-/// writes it (marker, length, CRC, payload), so writers that build whole
-/// log images out-of-place — GC compaction rewriting a generation —
-/// produce files [`FileStore::open`] recovers with the same torn-tail
-/// semantics.
-pub(crate) fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
-    frame_with(out, MARKER_V1, payload);
-}
-
-/// Build a whole log image for `payloads` under `cfg`, exactly as a fresh
-/// [`FileStore`] would represent sequential puts of them: sub-minimum
-/// payloads as v1 frames, everything else as chunk frames (deduplicated
-/// through one ledger across all payloads) followed by a manifest frame.
-/// The chunks-before-manifest ordering is preserved per blob, so
-/// [`FileStore::open`] recovers the image with the same torn-tail
-/// semantics as a grown log. This is what GC compaction writes for a new
-/// generation — re-imaging with plain [`frame_record`] would silently
-/// discard chunk dedup and re-expand every chunked blob.
-pub(crate) fn build_log_image(payloads: &[Vec<u8>], cfg: &ChunkConfig) -> io::Result<Vec<u8>> {
-    let mut image = Vec::new();
-    let mut ledger = ChunkLedger::new();
-    let mut next_ord = 0u32;
-    for bytes in payloads {
-        if !cfg.chunks_payload(bytes.len()) {
-            frame_with(&mut image, MARKER_V1, bytes);
-            continue;
-        }
-        let (ords, _) = ledger.ingest(bytes, cfg, |stored| {
-            frame_with(&mut image, MARKER_CHUNK, stored);
-            let ord = next_ord;
-            next_ord += 1;
-            Ok(ord)
-        })?;
-        frame_with(
-            &mut image,
-            MARKER_MANIFEST,
-            &encode_manifest(bytes.len() as u64, &ords),
-        );
-    }
-    Ok(image)
-}
-
-/// One logical blob in the index.
-#[derive(Debug)]
-enum BlobEntry {
-    /// v1 record: (payload offset, payload len).
-    V1(u64, u32),
-    /// v2 blob: chunk ords in payload order.
-    Chunked { raw_len: u64, ords: Vec<u32> },
-}
+use crate::chunk::ChunkConfig;
+use crate::record_log::{Log, Medium};
 
 /// Append-only log-file blob store with CRC-checked records and recovery.
-pub struct FileStore {
-    file: Mutex<File>,
-    path: PathBuf,
-    index: Vec<BlobEntry>,
-    /// (payload offset, payload len) of each chunk record, by ord.
-    chunk_index: Vec<(u64, u32)>,
-    ledger: ChunkLedger,
-    cfg: ChunkConfig,
-    /// Bytes durably in the file (group-commit buffer starts here).
-    flushed_end: u64,
-    /// Framed records accepted by `put` but not yet written to the file.
-    pending: Vec<u8>,
-    group_commit: bool,
-    payload_bytes: u64,
-    sync_on_put: bool,
-    trace: kishu_trace::Trace,
-}
+pub type FileStore = Log<File>;
 
-impl std::fmt::Debug for FileStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileStore")
-            .field("path", &self.path)
-            .field("blobs", &self.index.len())
-            .field("chunks", &self.chunk_index.len())
-            .finish()
+impl Medium for File {
+    fn size(&mut self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+    fn read_at(&mut self, off: u64, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
+        let start = out.len();
+        out.resize(start + len, 0);
+        self.seek(SeekFrom::Start(off))?;
+        self.read_exact(&mut out[start..])
+    }
+    fn write_at(&mut self, off: u64, bytes: &[u8]) -> io::Result<()> {
+        self.seek(SeekFrom::Start(off))?;
+        self.write_all(bytes)
+    }
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_data()
     }
 }
 
-pub(crate) fn group_commit_from_env() -> bool {
-    match std::env::var("KISHU_GROUP_COMMIT") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-        Err(_) => true,
-    }
+/// Open `path` read-write; `create` makes a new, empty file (truncating
+/// any existing one) instead of requiring an existing one.
+pub(crate) fn open_file(path: &Path, create: bool) -> io::Result<File> {
+    OpenOptions::new().read(true).write(true).create(create).truncate(create).open(path)
 }
 
 impl FileStore {
     /// Create a new, empty log at `path` (truncating any existing file),
-    /// with chunking and group commit configured from the environment.
+    /// with chunking configured from the environment.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::create_with(path, ChunkConfig::from_env(), group_commit_from_env())
+        Self::create_with(path, ChunkConfig::from_env())
     }
 
-    /// Create with explicit configuration (differential tests pin both
-    /// arms programmatically; env vars are process-global).
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        cfg: ChunkConfig,
-        group_commit: bool,
-    ) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path.as_ref())?;
-        Ok(FileStore {
-            file: Mutex::new(file),
-            path: path.as_ref().to_path_buf(),
-            index: Vec::new(),
-            chunk_index: Vec::new(),
-            ledger: ChunkLedger::new(),
-            cfg,
-            flushed_end: 0,
-            pending: Vec::new(),
-            group_commit,
-            payload_bytes: 0,
-            sync_on_put: false,
-            trace: kishu_trace::Trace::disabled(),
-        })
+    /// Create with an explicit chunking configuration.
+    pub fn create_with(path: impl AsRef<Path>, cfg: ChunkConfig) -> io::Result<Self> {
+        Log::recover(open_file(path.as_ref(), true)?, cfg)
     }
 
     /// Open an existing log, recovering its index by scanning. A torn or
     /// corrupt tail is truncated away; everything before it stays readable.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, ChunkConfig::from_env(), group_commit_from_env())
+        Self::open_with(path, ChunkConfig::from_env())
     }
 
-    /// Open with explicit configuration. The scan accepts any mix of v1
-    /// and v2 records regardless of `cfg` — the config only governs how
-    /// *future* puts are represented, so logs written under other knob
-    /// settings (or by older versions) stay readable.
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        cfg: ChunkConfig,
-        group_commit: bool,
-    ) -> io::Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path.as_ref())?;
-        let file_len = file.metadata()?.len();
-        let mut index = Vec::new();
-        let mut chunk_index: Vec<(u64, u32)> = Vec::new();
-        let mut ledger = ChunkLedger::new();
-        let mut payload_bytes = 0u64;
-        let mut offset = 0u64;
-        let mut buf = Vec::new();
-        while offset + HEADER_LEN <= file_len {
-            file.seek(SeekFrom::Start(offset))?;
-            let mut header = [0u8; HEADER_LEN as usize];
-            file.read_exact(&mut header)?;
-            let marker = header[0];
-            if !matches!(marker, MARKER_V1 | MARKER_CHUNK | MARKER_MANIFEST) {
-                break; // garbage: end recovery here
-            }
-            let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
-            let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-            let payload_off = offset + HEADER_LEN;
-            if payload_off + len as u64 > file_len {
-                break; // torn write
-            }
-            buf.resize(len as usize, 0);
-            file.read_exact(&mut buf)?;
-            if crc32(&buf) != crc {
-                break; // corrupted record
-            }
-            match marker {
-                MARKER_V1 => {
-                    index.push(BlobEntry::V1(payload_off, len));
-                    payload_bytes += len as u64;
-                }
-                MARKER_CHUNK => {
-                    let Ok(raw_len) = stored_chunk_raw_len(&buf) else {
-                        break; // CRC-valid but malformed: treat as tail damage
-                    };
-                    let ord = chunk_index.len() as u32;
-                    ledger.register(content_key(&buf), ord, raw_len, len as u64);
-                    chunk_index.push((payload_off, len));
-                }
-                _ => {
-                    let Some((raw_len, ords)) = parse_manifest(&buf) else {
-                        break;
-                    };
-                    if ords.iter().any(|&o| o as usize >= chunk_index.len()) {
-                        break; // references a chunk recovery never saw
-                    }
-                    for &o in &ords {
-                        ledger.add_ref(o);
-                    }
-                    index.push(BlobEntry::Chunked { raw_len, ords });
-                    payload_bytes += raw_len;
-                }
-            }
-            offset = payload_off + len as u64;
-        }
-        // Truncate away anything after the last intact record so appends
-        // never interleave with garbage.
-        file.set_len(offset)?;
-        Ok(FileStore {
-            file: Mutex::new(file),
-            path: path.as_ref().to_path_buf(),
-            index,
-            chunk_index,
-            ledger,
-            cfg,
-            flushed_end: offset,
-            pending: Vec::new(),
-            group_commit,
-            payload_bytes,
-            sync_on_put: false,
-            trace: kishu_trace::Trace::disabled(),
-        })
-    }
-
-    /// Enable fsync after every [`CheckpointStore::put`] (durability over
-    /// throughput). Under group commit the per-put fsync is amortized into
-    /// one fsync at each flush point instead.
-    pub fn set_sync_on_put(&mut self, on: bool) {
-        self.sync_on_put = on;
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Next append position (durable bytes + buffered bytes).
-    fn end_offset(&self) -> u64 {
-        self.flushed_end + self.pending.len() as u64
-    }
-
-    /// Write the group-commit buffer to the file (no fsync).
-    fn flush_pending(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let mut sp = self.trace.span("file.flush_pending");
-        sp.arg("bytes", self.pending.len());
-        let mut file = self.file.lock().expect("store lock poisoned");
-        file.seek(SeekFrom::Start(self.flushed_end))?;
-        file.write_all(&self.pending)?;
-        self.flushed_end += self.pending.len() as u64;
-        self.pending.clear();
-        Ok(())
-    }
-
-    /// Append one framed record (via the buffer under group commit, else
-    /// directly), returning its payload offset.
-    fn append_frame(&mut self, marker: u8, payload: &[u8]) -> io::Result<u64> {
-        let payload_off = self.end_offset() + HEADER_LEN;
-        let mut record = Vec::with_capacity(HEADER_LEN as usize + payload.len());
-        frame_with(&mut record, marker, payload);
-        if self.group_commit {
-            self.pending.extend_from_slice(&record);
-            if self.pending.len() >= PENDING_FLUSH_BYTES {
-                self.flush_pending()?;
-            }
-        } else {
-            let mut file = self.file.lock().expect("store lock poisoned");
-            file.seek(SeekFrom::Start(self.flushed_end))?;
-            file.write_all(&record)?;
-            if self.sync_on_put {
-                file.sync_data()?;
-            }
-            drop(file);
-            self.flushed_end += record.len() as u64;
-        }
-        Ok(payload_off)
-    }
-
-    /// Read a record's CRC + payload (from the buffer if not yet flushed)
-    /// and verify it. One observation covers the check and the bytes.
-    fn read_verified(&self, payload_off: u64, len: u32, what: &str) -> io::Result<Vec<u8>> {
-        let start = payload_off - 4;
-        let total = 4 + len as usize;
-        let mut buf;
-        if start >= self.flushed_end {
-            let i = (start - self.flushed_end) as usize;
-            buf = self.pending[i..i + total].to_vec();
-        } else {
-            buf = vec![0u8; total];
-            let mut file = self.file.lock().expect("store lock poisoned");
-            file.seek(SeekFrom::Start(start))?;
-            file.read_exact(&mut buf)?;
-        }
-        let crc = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        buf.drain(..4);
-        if crc32(&buf) != crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{what} failed its integrity check"),
-            ));
-        }
-        Ok(buf)
-    }
-}
-
-/// Manifest payload: `[raw_len: u64][nchunks: u32][ord: u32 × n]`.
-fn encode_manifest(raw_len: u64, ords: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + 4 * ords.len());
-    out.extend_from_slice(&raw_len.to_le_bytes());
-    out.extend_from_slice(&(ords.len() as u32).to_le_bytes());
-    for &o in ords {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    out
-}
-
-fn parse_manifest(payload: &[u8]) -> Option<(u64, Vec<u32>)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let raw_len = u64::from_le_bytes(payload[..8].try_into().ok()?);
-    let n = u32::from_le_bytes(payload[8..12].try_into().ok()?) as usize;
-    if payload.len() != 12 + 4 * n {
-        return None;
-    }
-    let ords = payload[12..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    Some((raw_len, ords))
-}
-
-impl CheckpointStore for FileStore {
-    fn put(&mut self, bytes: &[u8]) -> io::Result<BlobId> {
-        self.put_with_receipt(bytes).map(|r| r.id)
-    }
-
-    fn put_with_receipt(&mut self, bytes: &[u8]) -> io::Result<PutReceipt> {
-        if bytes.len() > u32::MAX as usize {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "blob too large"));
-        }
-        let mut sp = self.trace.span("file.put");
-        sp.arg("bytes", bytes.len());
-        self.trace.observe("file.put_bytes", bytes.len() as u64);
-        let id = self.index.len() as BlobId;
-
-        if !self.cfg.chunks_payload(bytes.len()) {
-            let payload_off = self.append_frame(MARKER_V1, bytes)?;
-            self.index.push(BlobEntry::V1(payload_off, bytes.len() as u32));
-            self.payload_bytes += bytes.len() as u64;
-            return Ok(PutReceipt {
-                id,
-                bytes_written: HEADER_LEN + bytes.len() as u64,
-                ..PutReceipt::default()
-            });
-        }
-
-        // Chunked put: new chunks first, then the manifest that makes the
-        // blob exist — recovery-ordering invariant of the v2 format.
-        let mut ledger = std::mem::take(&mut self.ledger);
-        let cfg = self.cfg.clone();
-        let result = ledger.ingest(bytes, &cfg, |stored| {
-            let payload_off = self.append_frame(MARKER_CHUNK, stored)?;
-            let ord = self.chunk_index.len() as u32;
-            self.chunk_index.push((payload_off, stored.len() as u32));
-            Ok(ord)
-        });
-        self.ledger = ledger;
-        let (ords, r) = result?;
-        let manifest = encode_manifest(bytes.len() as u64, &ords);
-        let manifest_len = manifest.len() as u64;
-        self.append_frame(MARKER_MANIFEST, &manifest)?;
-        self.index.push(BlobEntry::Chunked {
-            raw_len: bytes.len() as u64,
-            ords,
-        });
-        self.payload_bytes += bytes.len() as u64;
-        self.trace.observe("file.chunks_written", r.chunks_written);
-        self.trace.observe("file.chunks_deduped", r.chunks_deduped);
-        Ok(PutReceipt {
-            id,
-            bytes_written: r.stored_bytes_written
-                + r.chunks_written * HEADER_LEN
-                + HEADER_LEN
-                + manifest_len,
-            chunks_written: r.chunks_written,
-            chunks_deduped: r.chunks_deduped,
-            bytes_compressed: r.raw_bytes_written.saturating_sub(r.stored_bytes_written),
-        })
-    }
-
-    fn get(&self, id: BlobId) -> io::Result<Vec<u8>> {
-        let entry = self
-            .index
-            .get(id as usize)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {id}")))?;
-        let mut sp = self.trace.span("file.get");
-        sp.arg("blob", id);
-        match entry {
-            BlobEntry::V1(off, len) => {
-                sp.arg("bytes", *len);
-                self.trace.observe("file.get_bytes", *len as u64);
-                self.read_verified(*off, *len, &format!("blob {id}"))
-            }
-            BlobEntry::Chunked { raw_len, ords } => {
-                sp.arg("bytes", *raw_len);
-                self.trace.observe("file.get_bytes", *raw_len);
-                let mut out = Vec::with_capacity(*raw_len as usize);
-                for &ord in ords {
-                    let (off, len) = *self.chunk_index.get(ord as usize).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("blob {id} references missing chunk {ord}"),
-                        )
-                    })?;
-                    let stored = self.read_verified(off, len, &format!("blob {id} chunk {ord}"))?;
-                    out.extend_from_slice(&decode_chunk(&stored)?);
-                }
-                if out.len() as u64 != *raw_len {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("blob {id} reassembled to the wrong length"),
-                    ));
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn blob_count(&self) -> u64 {
-        self.index.len() as u64
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            blobs: self.index.len() as u64,
-            payload_bytes: self.payload_bytes,
-            physical_bytes: self.end_offset(),
-        }
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        let _sp = self.trace.span("file.sync");
-        self.flush_pending()?;
-        self.file.lock().expect("store lock poisoned").sync_data()
-    }
-
-    fn flush_barrier(&mut self) -> io::Result<()> {
-        let _sp = self.trace.span("file.flush_barrier");
-        self.flush_pending()?;
-        if self.sync_on_put {
-            // The fsyncs the burst of puts skipped, amortized into one.
-            self.file.lock().expect("store lock poisoned").sync_data()?;
-        }
-        Ok(())
-    }
-
-    fn chunk_stats(&self) -> Option<ChunkStats> {
-        self.cfg.enabled.then(|| self.ledger.stats())
-    }
-
-    fn chunk_config(&self) -> Option<ChunkConfig> {
-        Some(self.cfg.clone())
-    }
-
-    fn attach_trace(&mut self, trace: &kishu_trace::Trace) {
-        self.trace = trace.clone();
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        // Best-effort: buffered records reach the OS before the handle
-        // goes away (crash simulations that *want* lost buffers truncate
-        // the file instead of dropping the store).
-        let _ = self.flush_pending();
+    /// Open with an explicit chunking configuration, which governs only
+    /// how future puts are represented (see [`Log::recover`]).
+    pub fn open_with(path: impl AsRef<Path>, cfg: ChunkConfig) -> io::Result<Self> {
+        Log::recover(open_file(path.as_ref(), false)?, cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
+    use crate::record_log::{HEADER_LEN, MARKER_CHUNK, MARKER_MANIFEST, MARKER_V1};
+    use crate::CheckpointStore;
     use kishu_testkit::hash::xxh64;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("kishu-fs-{}", std::process::id()));
@@ -571,8 +106,7 @@ mod tests {
         {
             // Chunking off so the 5000-byte record is a single v1 frame
             // whose tail tear removes exactly one blob.
-            let mut s =
-                FileStore::create_with(&path, ChunkConfig::disabled(), false).expect("create");
+            let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
             s.put(b"intact-record").expect("put");
             s.put(&vec![9u8; 5000]).expect("put");
             s.sync().expect("sync");
@@ -595,15 +129,13 @@ mod tests {
     #[test]
     fn corrupted_payload_is_detected() {
         let path = temp_path("corrupt.log");
-        let off = {
+        {
             let mut s = FileStore::create(&path).expect("create");
             s.put(b"precious-data").expect("put");
             s.sync().expect("sync");
-            match s.index[0] {
-                BlobEntry::V1(off, _) => off,
-                _ => panic!("13 bytes stays a v1 record"),
-            }
-        };
+        }
+        // 13 bytes stay one v1 record, the first in the file.
+        let off = HEADER_LEN;
         // Flip a payload byte on disk.
         let mut f = OpenOptions::new().read(true).write(true).open(&path).expect("raw");
         f.seek(SeekFrom::Start(off + 2)).expect("seek");
@@ -656,8 +188,7 @@ mod tests {
         let mut edited = big.clone();
         edited[150_000] ^= 0xAA;
         {
-            let mut s =
-                FileStore::create_with(&path, ChunkConfig::default(), true).expect("create");
+            let mut s = FileStore::create_with(&path, ChunkConfig::default()).expect("create");
             let r1 = s.put_with_receipt(&big).expect("put");
             assert!(r1.chunks_written > 2);
             assert_eq!(r1.chunks_deduped, 0);
@@ -673,7 +204,7 @@ mod tests {
         // Reopen with the config pinned (plain `open` reads the env, and
         // the KISHU_CHUNKING=0 CI matrix leg must not flip this test's
         // post-reopen puts onto the v1 path).
-        let s = FileStore::open_with(&path, ChunkConfig::default(), true).expect("reopen");
+        let s = FileStore::open_with(&path, ChunkConfig::default()).expect("reopen");
         assert_eq!(s.blob_count(), 2);
         assert_eq!(s.get(0).expect("get"), big);
         assert_eq!(s.get(1).expect("get"), edited);
@@ -698,8 +229,7 @@ mod tests {
         ];
         let path = temp_path("v1twin.log");
         {
-            let mut s =
-                FileStore::create_with(&path, ChunkConfig::disabled(), false).expect("create");
+            let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
             for p in &payloads {
                 s.put(p).expect("put");
             }
@@ -708,22 +238,13 @@ mod tests {
         let got = std::fs::read(&path).expect("read");
         let mut want = Vec::new();
         for p in &payloads {
-            frame_record(&mut want, p);
+            want.push(MARKER_V1);
+            want.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            want.extend_from_slice(&crc32(p).to_le_bytes());
+            want.extend_from_slice(p);
         }
         assert_eq!(got, want, "kill switch must produce the v1 byte stream");
-        // And group commit alone (chunking off) changes nothing either.
-        let path2 = temp_path("v1twin-gc.log");
-        {
-            let mut s =
-                FileStore::create_with(&path2, ChunkConfig::disabled(), true).expect("create");
-            for p in &payloads {
-                s.put(p).expect("put");
-            }
-            s.sync().expect("sync");
-        }
-        assert_eq!(std::fs::read(&path2).expect("read"), want);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&path2).ok();
     }
 
     #[test]
@@ -743,7 +264,7 @@ mod tests {
         let payload: Vec<u8> = (0..300u32).map(|i| (i % 7) as u8).collect();
         let path = temp_path("golden.log");
         {
-            let mut s = FileStore::create_with(&path, cfg, false).expect("create");
+            let mut s = FileStore::create_with(&path, cfg).expect("create");
             s.put(&payload).expect("put");
         }
         let log = std::fs::read(&path).expect("read");
@@ -795,8 +316,7 @@ mod tests {
         let path = temp_path("gcommit.log");
         let payload = vec![5u8; 300];
         {
-            let mut s =
-                FileStore::create_with(&path, ChunkConfig::disabled(), true).expect("create");
+            let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
             s.set_sync_on_put(true);
             s.put(&payload).expect("put");
             // Buffered: the file is still empty, but reads work.
@@ -821,6 +341,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::crc32::crc32;
+    use crate::{CheckpointStore, MemoryStore};
     use kishu_testkit::prelude::*;
 
     proptest! {
@@ -858,12 +380,15 @@ mod proptests {
             let tag = crc32(&blobs.concat());
             let p_on = dir.join(format!("on{tag}.log"));
             let p_off = dir.join(format!("off{tag}.log"));
-            let _ = std::fs::remove_file(&p_on);
-            let _ = std::fs::remove_file(&p_off);
-            let mut on = FileStore::create_with(&p_on, ChunkConfig::default(), true).expect("create");
-            let mut off = FileStore::create_with(&p_off, ChunkConfig::disabled(), false).expect("create");
+            let mut on = FileStore::create_with(&p_on, ChunkConfig::default()).expect("create");
+            let mut off = FileStore::create_with(&p_off, ChunkConfig::disabled()).expect("create");
+            let mut mem_on = MemoryStore::with_config(ChunkConfig::default());
+            let mut mem_off = MemoryStore::with_config(ChunkConfig::disabled());
             for b in &blobs {
-                prop_assert_eq!(on.put(b).expect("put"), off.put(b).expect("put"));
+                let id = on.put(b).expect("put");
+                prop_assert_eq!(id, off.put(b).expect("put"));
+                prop_assert_eq!(id, mem_on.put(b).expect("put"));
+                prop_assert_eq!(id, mem_off.put(b).expect("put"));
             }
             for (i, b) in blobs.iter().enumerate() {
                 prop_assert_eq!(&on.get(i as u64).expect("get"), b);
@@ -873,6 +398,13 @@ mod proptests {
             let (s_on, s_off) = (on.stats(), off.stats());
             prop_assert_eq!(s_on.blobs, s_off.blobs);
             prop_assert_eq!(s_on.payload_bytes, s_off.payload_bytes);
+            // One engine: the same puts leave byte-identical logs in a file
+            // and in memory, v1, chunked and mixed alike.
+            on.sync().expect("sync");
+            off.sync().expect("sync");
+            prop_assert_eq!(std::fs::read(&p_on).expect("read"), mem_on.image().expect("image"));
+            prop_assert_eq!(std::fs::read(&p_off).expect("read"), mem_off.image().expect("image"));
+            prop_assert_eq!(s_on, mem_on.stats());
             std::fs::remove_file(&p_on).ok();
             std::fs::remove_file(&p_off).ok();
         }

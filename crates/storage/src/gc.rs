@@ -27,9 +27,13 @@
 //! with tenant operations; callers run it when their sessions are parked
 //! (which is also when live sets are well-defined). It is a pure space
 //! optimization — after a collection, every live blob of every tenant reads
-//! back byte-identically under the same tenant id. Because skipping it is
-//! always safe, `KISHU_GC=0` is the operational kill-switch: with it set,
-//! [`SharedStore::collect`] validates its inputs but reclaims nothing.
+//! back byte-identically under the same tenant id.
+//!
+//! Compaction re-images a shard by putting its survivors, in order, into a
+//! fresh in-memory record log under the store's chunk configuration. An
+//! in-memory store adopts that log as the shard; a file-backed one writes
+//! its bytes as the next generation's shard file and reopens it, so both
+//! backends end up with byte-identical shard logs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
@@ -37,13 +41,14 @@ use std::path::Path;
 
 use kishu_testkit::json::Json;
 
+use crate::chunk::ChunkConfig;
 use crate::dedup::content_key;
-use crate::file_store::{build_log_image, frame_record, group_commit_from_env, FileStore};
+use crate::file_store::FileStore;
 use crate::shared::{
-    encode_mapping, manifest_json, manifest_path, remove_stale_generations, shard_path,
-    tenant_path, Backend, Phys,
+    commit_manifest, encode_mapping, file_log, manifest_json, memory_log, remove_stale_generations,
+    shard_path, tenant_path, Backend, Phys,
 };
-use crate::{BlobId, CheckpointStore, MemoryStore, SharedStore};
+use crate::{BlobId, CheckpointStore, SharedStore};
 
 /// What one collection did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,7 +84,11 @@ impl GcReport {
 /// Write `bytes` to `path` and sync, honoring the crash budget: if the
 /// budget runs out mid-file, exactly the budgeted prefix lands on disk and
 /// the "machine dies" (`ErrorKind::Interrupted`).
-fn write_budgeted(path: &Path, bytes: &[u8], budget: &mut Option<u64>) -> io::Result<()> {
+pub(crate) fn write_budgeted(
+    path: &Path,
+    bytes: &[u8],
+    budget: &mut Option<u64>,
+) -> io::Result<()> {
     use std::io::Write;
     let allowed = budget.map_or(bytes.len() as u64, |b| b.min(bytes.len() as u64));
     let mut f = std::fs::File::create(path)?;
@@ -94,20 +103,10 @@ fn write_budgeted(path: &Path, bytes: &[u8], budget: &mut Option<u64>) -> io::Re
     Ok(())
 }
 
-/// The `KISHU_GC` kill-switch: `0` (or empty) disables collection. GC is a
-/// pure space optimization, so disabling it is always safe — the store just
-/// stops reclaiming.
-fn gc_enabled() -> bool {
-    match std::env::var("KISHU_GC") {
-        Ok(v) => v != "0" && !v.is_empty(),
-        Err(_) => true,
-    }
-}
-
 /// The commit rename under the crash budget (it costs one budget unit, so
 /// the sweep can also die in the instant between a fully written manifest
 /// temp file and the rename).
-fn rename_budgeted(from: &Path, to: &Path, budget: &mut Option<u64>) -> io::Result<()> {
+pub(crate) fn rename_budgeted(from: &Path, to: &Path, budget: &mut Option<u64>) -> io::Result<()> {
     if let Some(b) = budget.as_mut() {
         if *b == 0 {
             return Err(io::Error::new(
@@ -160,20 +159,6 @@ impl SharedStore {
                         format!("gc live set names unregistered tenant {name:?}"),
                     ));
                 }
-            }
-            // Kill-switch: inputs validated, nothing reclaimed.
-            if !gc_enabled() {
-                sp.arg("disabled", true);
-                return Ok(GcReport {
-                    live_blobs: shards
-                        .iter()
-                        .map(|sh| sh.refs.iter().filter(|&&r| r > 0).count() as u64)
-                        .sum(),
-                    physical_before,
-                    physical_after: physical_before,
-                    generation: meta.generation,
-                    ..GcReport::default()
-                });
             }
             for (name, t) in &meta.tenants {
                 let keep = &live[name];
@@ -255,89 +240,58 @@ impl SharedStore {
         let mut sp = trace.span("gc.commit");
         let next_gen = meta.generation + 1;
         sp.arg("generation", next_gen);
+        // Re-image every shard: its survivors, in order, put into a fresh
+        // in-memory log under the store's chunk configuration (chunked
+        // blobs stay chunked, one ledger across the shard keeps cross-blob
+        // dedup, and reclaimed chunk bytes leave the log).
+        let mut images = Vec::with_capacity(kept.len());
+        for shard_kept in &kept {
+            let mut image = memory_log(self.inner.chunk.clone());
+            for bytes in shard_kept {
+                image.put(bytes)?;
+            }
+            images.push(image);
+        }
         match &self.inner.backend {
             Backend::Memory => {
-                for (i, sh) in shards.iter_mut().enumerate() {
-                    // Rebuild under the shard's own representation config —
-                    // `MemoryStore::new()` would re-read the environment and
-                    // silently drop a pinned chunking setup across the GC.
-                    let cfg = sh
-                        .store
-                        .chunk_config()
-                        .unwrap_or_else(crate::chunk::ChunkConfig::disabled);
-                    let mut store = MemoryStore::with_config(cfg);
-                    let mut dedup = HashMap::new();
-                    let mut lens = Vec::new();
-                    for bytes in &kept[i] {
-                        let idx = store.put(bytes).expect("memory put") as u32;
-                        dedup.entry(content_key(bytes)).or_insert(idx);
-                        lens.push(bytes.len() as u64);
-                    }
-                    sh.store = Box::new(store);
-                    sh.dedup = dedup;
-                    sh.lens = lens;
-                    sh.refs = new_refs[i].iter().copied().filter(|&r| r > 0).collect();
+                for (sh, image) in shards.iter_mut().zip(images) {
+                    sh.store = image;
                 }
             }
             Backend::File { dir } => {
                 let mut budget = self.inner.crash_after.lock().expect("crash lock");
-                // Re-image each shard under its own representation config:
-                // chunked blobs stay chunked (one ledger across the shard
-                // keeps cross-blob dedup), so reclaimed chunk bytes
-                // actually leave the log instead of every survivor
-                // re-expanding to a v1 frame.
-                let cfgs: Vec<_> = shards
-                    .iter()
-                    .map(|sh| {
-                        sh.store
-                            .chunk_config()
-                            .unwrap_or_else(crate::chunk::ChunkConfig::disabled)
-                    })
-                    .collect();
-                for (i, shard_kept) in kept.iter().enumerate() {
-                    let image = build_log_image(shard_kept, &cfgs[i])?;
-                    write_budgeted(&shard_path(dir, i, next_gen), &image, &mut budget)?;
+                for (i, image) in images.iter().enumerate() {
+                    write_budgeted(&shard_path(dir, i, next_gen), &image.image()?, &mut budget)?;
                 }
                 for (name, mappings) in &new_mappings {
-                    let mut image = Vec::new();
+                    let mut log = memory_log(ChunkConfig::disabled());
                     for m in mappings {
-                        frame_record(&mut image, &encode_mapping(*m));
+                        log.put(&encode_mapping(*m))?;
                     }
-                    write_budgeted(&tenant_path(dir, name, next_gen), &image, &mut budget)?;
+                    write_budgeted(&tenant_path(dir, name, next_gen), &log.image()?, &mut budget)?;
                 }
                 let names: Vec<&str> = meta.tenants.keys().map(String::as_str).collect();
-                let manifest = manifest_json(self.inner.nshards, next_gen, &names);
-                let tmp = dir.join("MANIFEST.tmp");
-                write_budgeted(&tmp, manifest.dump().as_bytes(), &mut budget)?;
-                rename_budgeted(&tmp, &manifest_path(dir), &mut budget)?;
+                commit_manifest(dir, &manifest_json(&self.inner, next_gen, &names), &mut budget)?;
                 // Committed. Swap the in-memory state over to the new
                 // generation; failures past this point must not un-commit,
                 // so reopen errors propagate but the manifest stays.
                 for (i, sh) in shards.iter_mut().enumerate() {
-                    // Reopen under the same config the image was built
-                    // with, so a pinned (env-independent) setup survives
-                    // the generation swap.
-                    let store = FileStore::open_with(
-                        shard_path(dir, i, next_gen),
-                        cfgs[i].clone(),
-                        group_commit_from_env(),
-                    )?;
-                    let mut dedup = HashMap::new();
-                    let mut lens = Vec::new();
-                    for (idx, bytes) in kept[i].iter().enumerate() {
-                        dedup.entry(content_key(bytes)).or_insert(idx as u32);
-                        lens.push(bytes.len() as u64);
-                    }
-                    sh.store = Box::new(store);
-                    sh.dedup = dedup;
-                    sh.lens = lens;
-                    sh.refs = new_refs[i].iter().copied().filter(|&r| r > 0).collect();
+                    sh.store = file_log(&shard_path(dir, i, next_gen), self.inner.chunk.clone())?;
                 }
                 for (name, t) in meta.tenants.iter_mut() {
                     t.log = Some(FileStore::open(tenant_path(dir, name, next_gen))?);
                 }
                 remove_stale_generations(dir, next_gen);
             }
+        }
+        for (i, sh) in shards.iter_mut().enumerate() {
+            let mut dedup = HashMap::new();
+            for (idx, bytes) in kept[i].iter().enumerate() {
+                dedup.entry(content_key(bytes)).or_insert(idx as u32);
+            }
+            sh.dedup = dedup;
+            sh.lens = kept[i].iter().map(|b| b.len() as u64).collect();
+            sh.refs = new_refs[i].iter().copied().filter(|&r| r > 0).collect();
         }
         for (name, t) in meta.tenants.iter_mut() {
             let mappings = new_mappings.remove(name).expect("mapping built in mark");
@@ -500,7 +454,7 @@ mod tests {
     #[test]
     fn file_gc_preserves_chunk_dedup_and_reclaims_chunk_bytes() {
         let dir = temp_dir("v2-framing");
-        let store = SharedStore::create_with(&dir, 1, crate::chunk::ChunkConfig::default())
+        let store = SharedStore::create_with(&dir, 1, ChunkConfig::default())
             .expect("create");
         let mut a = store.tenant("a").expect("tenant");
         // Three near-duplicates (almost all chunks shared) plus one
@@ -559,7 +513,7 @@ mod tests {
     /// re-reading the environment).
     #[test]
     fn memory_gc_preserves_pinned_chunk_config() {
-        let store = SharedStore::in_memory_with(1, crate::chunk::ChunkConfig::default());
+        let store = SharedStore::in_memory_with(1, ChunkConfig::default());
         let mut a = store.tenant("a").expect("tenant");
         for tweak in [0u8, 0x11] {
             a.put(&chunky_payload(tweak)).expect("put");
@@ -576,6 +530,34 @@ mod tests {
         assert_eq!(a.get(0).expect("get"), chunky_payload(0));
         assert_eq!(a.get(1).expect("get"), chunky_payload(0x11));
         store.check_invariants(true).expect("invariants");
+    }
+
+    /// One engine: GC re-images a shard the same way on both backends, so
+    /// identical puts and live sets leave byte-identical shard logs.
+    #[test]
+    fn memory_and_file_gc_leave_identical_shard_logs() {
+        let dir = temp_dir("twin");
+        for cfg in [ChunkConfig::default(), ChunkConfig::disabled()] {
+            let mem = SharedStore::in_memory_with(1, cfg.clone());
+            let file = SharedStore::create_with(&dir, 1, cfg).expect("create");
+            for store in [&mem, &file] {
+                let mut a = store.tenant("a").expect("tenant");
+                for tweak in [0u8, 0x11, 0x22] {
+                    a.put(&chunky_payload(tweak)).expect("put");
+                }
+                a.put(b"small v1 payload").expect("put");
+                a.put(b"garbage").expect("put");
+                store.collect(&live(&[("a", &[0, 2, 3])])).expect("gc");
+            }
+            let shard_log = |s: &SharedStore| {
+                s.inner.shards[0].lock().expect("shard lock").store.image().expect("image")
+            };
+            let bytes = shard_log(&mem);
+            assert!(!bytes.is_empty());
+            assert_eq!(bytes, shard_log(&file), "shard logs diverged after GC");
+            assert_eq!(bytes, std::fs::read(shard_path(&dir, 0, 1)).expect("read"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! * [`CheckpointStore`] — the blob-store interface every checkpointing
 //!   mechanism (Kishu and all baselines) writes through, so size and time
 //!   accounting are uniform across methods;
-//! * [`MemoryStore`] — zero-I/O backend for unit tests and for isolating
-//!   algorithmic costs in benchmarks;
-//! * [`FileStore`] — a durable append-only log with length-prefixed,
-//!   CRC-checked records and crash recovery on open (a torn tail write is
-//!   detected and truncated away, records before it stay readable);
+//! * [`record_log`] — the one storage engine: an append-only log of
+//!   length-prefixed, CRC-checked records with crash recovery on open (a
+//!   torn tail write is detected and truncated away, records before it
+//!   stay readable), content-defined chunking and group commit;
+//! * [`FileStore`] — that log in a file (the durable backend);
+//! * [`MemoryStore`] — that log in a byte buffer: zero-I/O backend for
+//!   unit tests and for isolating algorithmic costs in benchmarks, with the
+//!   same bytes and the same physical accounting (framing included) as a
+//!   file store;
 //! * [`FaultStore`] — a deterministic fault-injecting decorator over any
 //!   store (transient/permanent errors, bit-flips, short writes, fsync
 //!   lies), for testing graceful degradation in the layers above;
@@ -38,6 +42,7 @@ pub mod fault_store;
 pub mod file_store;
 pub mod gc;
 pub mod memory_store;
+pub mod record_log;
 pub mod shared;
 
 pub use cache::{BlobCache, CacheStats};
@@ -50,7 +55,7 @@ pub use fault_store::{
 };
 pub use file_store::FileStore;
 pub use memory_store::MemoryStore;
-pub use shared::{default_shard_count, SharedStore, TenantHandle, TenantOpStats};
+pub use shared::{SharedStore, TenantHandle, TenantOpStats, DEFAULT_SHARDS};
 
 use std::io;
 
@@ -156,11 +161,8 @@ pub trait CheckpointStore {
     }
 
     /// The chunking configuration governing how this store represents new
-    /// puts, if it carries one at all. GC compaction uses this to rebuild
-    /// a store generation under the *same* representation it was writing —
-    /// without it, a sweep would silently re-image chunked blobs as plain
-    /// v1 records and lose cross-blob chunk dedup. `None` (the default)
-    /// means the store has no representation config to preserve.
+    /// puts, if it carries one at all. `None` (the default) means the
+    /// store has no representation config.
     fn chunk_config(&self) -> Option<chunk::ChunkConfig> {
         None
     }

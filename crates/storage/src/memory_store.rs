@@ -1,38 +1,45 @@
-//! In-memory blob store.
+//! In-memory blob store: the record log ([`crate::record_log`]) held in a
+//! byte buffer.
 
 use std::io;
 
-use crate::chunk::{decode_chunk, ChunkConfig, ChunkLedger, ChunkStats};
-use crate::{BlobId, CheckpointStore, PutReceipt, StoreStats};
+use crate::chunk::ChunkConfig;
+use crate::record_log::{Log, Medium};
 
-/// How one logical blob is represented physically.
-#[derive(Debug)]
-enum BlobRepr {
-    /// Whole payload held verbatim (chunking off, or payload below the
-    /// minimum chunk size).
-    Raw(Vec<u8>),
-    /// Payload split into stored-form chunks; `ords` index the shared
-    /// chunk table in payload order.
-    Chunked { raw_len: u64, ords: Vec<u32> },
-}
-
-/// Blob store backed by process memory. The fastest possible backend — the
-/// paper's §6.1 notes users can pick one "to maximize checkpointing/checkout
-/// efficiency" — and the default for unit tests and algorithm-isolating
-/// benchmarks.
+/// Blob store backed by process memory — the paper's §6.1 notes users can
+/// pick one "to maximize checkpointing/checkout efficiency" — and the
+/// default for unit tests and algorithm-isolating benchmarks.
 ///
-/// Runs the storage-engine-v2 representation (content-defined chunking +
-/// per-chunk compression) when [`ChunkConfig`] enables it; the logical view
-/// (ids, payloads, logical stats) is identical either way.
-#[derive(Debug)]
-pub struct MemoryStore {
-    blobs: Vec<BlobRepr>,
-    /// Stored-form chunks shared across blobs, indexed by ord.
-    chunks: Vec<Vec<u8>>,
-    ledger: ChunkLedger,
-    cfg: ChunkConfig,
-    payload_bytes: u64,
-    physical_bytes: u64,
+/// It is the same record log as [`crate::FileStore`], so its buffer holds
+/// exactly the bytes a file store would write for the same puts, and its
+/// physical accounting (receipts, `stats().physical_bytes`) includes the
+/// record framing.
+pub type MemoryStore = Log<Vec<u8>>;
+
+impl Medium for Vec<u8> {
+    fn size(&mut self) -> io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+    fn read_at(&mut self, off: u64, len: usize, out: &mut Vec<u8>) -> io::Result<()> {
+        let start = off as usize;
+        out.extend_from_slice(self.get(start..start + len).ok_or(io::ErrorKind::UnexpectedEof)?);
+        Ok(())
+    }
+    fn write_at(&mut self, off: u64, bytes: &[u8]) -> io::Result<()> {
+        Vec::truncate(self, off as usize);
+        self.extend_from_slice(bytes);
+        Ok(())
+    }
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        Vec::truncate(self, len as usize);
+        Ok(())
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+    fn is_device(&self) -> bool {
+        false
+    }
 }
 
 impl Default for MemoryStore {
@@ -47,109 +54,16 @@ impl MemoryStore {
         Self::with_config(ChunkConfig::from_env())
     }
 
-    /// Empty store with an explicit chunking configuration (differential
-    /// tests pin both arms programmatically; env vars are process-global).
+    /// Empty store with an explicit chunking configuration.
     pub fn with_config(cfg: ChunkConfig) -> Self {
-        MemoryStore {
-            blobs: Vec::new(),
-            chunks: Vec::new(),
-            ledger: ChunkLedger::new(),
-            cfg,
-            payload_bytes: 0,
-            physical_bytes: 0,
-        }
-    }
-}
-
-impl CheckpointStore for MemoryStore {
-    fn put(&mut self, bytes: &[u8]) -> io::Result<BlobId> {
-        self.put_with_receipt(bytes).map(|r| r.id)
-    }
-
-    fn put_with_receipt(&mut self, bytes: &[u8]) -> io::Result<PutReceipt> {
-        let id = self.blobs.len() as BlobId;
-        self.payload_bytes += bytes.len() as u64;
-        if !self.cfg.chunks_payload(bytes.len()) {
-            self.physical_bytes += bytes.len() as u64;
-            self.blobs.push(BlobRepr::Raw(bytes.to_vec()));
-            return Ok(PutReceipt::opaque(id, bytes.len()));
-        }
-        let chunks = &mut self.chunks;
-        let (ords, r) = self.ledger.ingest(bytes, &self.cfg, |stored| {
-            chunks.push(stored.to_vec());
-            Ok((chunks.len() - 1) as u32)
-        })?;
-        self.physical_bytes += r.stored_bytes_written;
-        self.blobs.push(BlobRepr::Chunked {
-            raw_len: bytes.len() as u64,
-            ords,
-        });
-        Ok(PutReceipt {
-            id,
-            bytes_written: r.stored_bytes_written,
-            chunks_written: r.chunks_written,
-            chunks_deduped: r.chunks_deduped,
-            bytes_compressed: r.raw_bytes_written.saturating_sub(r.stored_bytes_written),
-        })
-    }
-
-    fn get(&self, id: BlobId) -> io::Result<Vec<u8>> {
-        let repr = self
-            .blobs
-            .get(id as usize)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no blob {id}")))?;
-        match repr {
-            BlobRepr::Raw(bytes) => Ok(bytes.clone()),
-            BlobRepr::Chunked { raw_len, ords } => {
-                let mut out = Vec::with_capacity(*raw_len as usize);
-                for &ord in ords {
-                    let stored = self.chunks.get(ord as usize).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("blob {id} references missing chunk {ord}"),
-                        )
-                    })?;
-                    out.extend_from_slice(&decode_chunk(stored)?);
-                }
-                if out.len() as u64 != *raw_len {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("blob {id} reassembled to the wrong length"),
-                    ));
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn blob_count(&self) -> u64 {
-        self.blobs.len() as u64
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            blobs: self.blobs.len() as u64,
-            payload_bytes: self.payload_bytes,
-            physical_bytes: self.physical_bytes,
-        }
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn chunk_stats(&self) -> Option<ChunkStats> {
-        self.cfg.enabled.then(|| self.ledger.stats())
-    }
-
-    fn chunk_config(&self) -> Option<ChunkConfig> {
-        Some(self.cfg.clone())
+        Log::recover(Vec::new(), cfg).expect("an empty buffer always recovers")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CheckpointStore;
 
     #[test]
     fn ids_are_dense_and_ordered() {
@@ -197,9 +111,9 @@ mod tests {
         let mut s = MemoryStore::with_config(ChunkConfig::disabled());
         let big = vec![3u8; 100_000];
         let r = s.put_with_receipt(&big).expect("put");
-        assert_eq!(r.bytes_written, big.len() as u64, "v1 writes logical bytes");
+        assert_eq!(r.bytes_written, big.len() as u64 + 9, "v1 writes one framed record");
         assert_eq!(r.chunks_written, 0);
         assert_eq!(s.chunk_stats(), None);
-        assert_eq!(s.stats().physical_bytes, big.len() as u64);
+        assert_eq!(s.stats().physical_bytes, big.len() as u64 + 9);
     }
 }

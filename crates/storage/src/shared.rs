@@ -21,20 +21,23 @@
 //!   private blob ids*: tenant blob `k` is its `k`-th successful `put`,
 //!   exactly as on a private store. Gets resolve through the tenant's
 //!   mapping to physical `(shard, index)` pairs. Stats are logical
-//!   (mirroring [`crate::MemoryStore`]'s accounting), so a session cannot
+//!   (physical bytes reported as payload bytes), so a session cannot
 //!   observe its neighbors through sizes either. The shared store is
 //!   **observationally private**: every read, id, size, and error a
 //!   tenant sees is byte-identical to running alone — the property
 //!   `tests/multi_tenant.rs` proves differentially.
-//! * **Chunk dedup under the id layer** — shard backends run the
-//!   storage-engine-v2 representation (content-defined chunking +
+//! * **Chunk dedup under the id layer** — every shard is a record log
+//!   ([`crate::record_log`]; a byte buffer in memory, a file on disk)
+//!   running the storage-engine-v2 representation (content-defined chunking +
 //!   per-chunk compression, [`crate::chunk`]), so two tenants' *distinct*
 //!   blobs that share most of their bytes (the same dataframe, one cell's
 //!   edit apart) share chunks physically. Chunk dedup scope is the shard:
 //!   blob-level routing sends whole payloads to one shard, so similar
 //!   payloads that route differently don't share chunks — an accepted
 //!   trade against cross-shard coordination on every chunk. Aggregate
-//!   counters: [`SharedStore::chunk_stats`].
+//!   counters: [`SharedStore::chunk_stats`]. The chunk configuration is
+//!   fixed at creation and recorded in the manifest, so `open` and GC keep
+//!   representing new puts the same way.
 //! * **GC** — see [`crate::gc`]: a stop-the-world mark-and-sweep pass over
 //!   caller-supplied live sets that compacts shards into a new generation
 //!   and commits via an atomic manifest rename, crash-consistent with
@@ -45,7 +48,7 @@
 //! A file-backed store is a directory:
 //!
 //! ```text
-//! MANIFEST.json            {"schema","shards","generation","tenants"}
+//! MANIFEST.json            {"schema","shards","generation","tenants","chunk"}
 //! shard-<i>.g<G>.log       payload log (FileStore framing), shard i, gen G
 //! tenant-<hex>.g<G>.log    mapping log: tenant blob k = k-th record
 //! ```
@@ -65,25 +68,18 @@ use kishu_testkit::hash::xxh64;
 use kishu_testkit::json::Json;
 use kishu_trace::Trace;
 
+use crate::chunk::ChunkConfig;
 use crate::dedup::{content_key, ContentKey};
-use crate::file_store::{group_commit_from_env, FileStore};
-use crate::{BlobId, CheckpointStore, MemoryStore, StoreStats};
+use crate::file_store::{open_file, FileStore};
+use crate::gc::{rename_budgeted, write_budgeted};
+use crate::record_log::{Log, Medium};
+use crate::{BlobId, CheckpointStore, StoreStats};
 
 /// Schema tag of `MANIFEST.json`.
 pub const SHARED_SCHEMA: &str = "kishu-shared-v1";
 
-/// Default shard count when `KISHU_STORE_SHARDS` is unset.
+/// The usual shard count for a shared store.
 pub const DEFAULT_SHARDS: usize = 4;
-
-/// Shard count from the `KISHU_STORE_SHARDS` environment knob, clamped to
-/// `[1, 64]`; [`DEFAULT_SHARDS`] when unset or unparsable.
-pub fn default_shard_count() -> usize {
-    std::env::var("KISHU_STORE_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, 64))
-        .unwrap_or(DEFAULT_SHARDS)
-}
 
 /// Physical address of a stored payload: `(shard, index within shard)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,10 +112,24 @@ pub(crate) fn shard_of(key: ContentKey, nshards: usize) -> usize {
     ((z as u128 * nshards.max(1) as u128) >> 64) as usize
 }
 
+/// A shard's payload log, in memory or in a file.
+pub(crate) type ShardLog = Log<Box<dyn Medium>>;
+
+/// An empty in-memory shard log.
+pub(crate) fn memory_log(cfg: ChunkConfig) -> ShardLog {
+    Log::recover(Box::new(Vec::<u8>::new()) as Box<dyn Medium>, cfg)
+        .expect("an empty buffer always recovers")
+}
+
+/// The shard log in the file at `path`, recovered (or created empty).
+pub(crate) fn file_log(path: &Path, cfg: ChunkConfig) -> io::Result<ShardLog> {
+    Log::recover(Box::new(open_file(path, !path.exists())?) as Box<dyn Medium>, cfg)
+}
+
 /// One shard: its ordered payload log plus the store-wide dedup index and
 /// refcounts for the contents that route here.
 pub(crate) struct ShardState {
-    pub(crate) store: Box<dyn CheckpointStore>,
+    pub(crate) store: ShardLog,
     /// Content key → local index. Load-bearing (a hit suppresses a write),
     /// safe because the key pairs a 64-bit hash with the exact length.
     pub(crate) dedup: HashMap<ContentKey, u32>,
@@ -129,6 +139,13 @@ pub(crate) struct ShardState {
     pub(crate) refs: Vec<u64>,
     /// Payload length per local blob.
     pub(crate) lens: Vec<u64>,
+}
+
+impl ShardState {
+    /// A shard over `store` with empty dedup index and refcounts.
+    fn new(store: ShardLog) -> Self {
+        ShardState { store, dedup: HashMap::new(), refs: Vec::new(), lens: Vec::new() }
+    }
 }
 
 /// Per-tenant operator counters: physical truth (dedup hits include
@@ -156,8 +173,8 @@ pub(crate) struct TenantState {
     /// Tenant blob `k` ↦ `(phys, payload len)`, or `None` once reclaimed
     /// (ids stay dense forever; a reclaimed id reads as `NotFound`).
     pub(crate) blobs: Vec<Option<(Phys, u64)>>,
-    /// Cumulative payload bytes over live mappings (what a private
-    /// [`MemoryStore`] would report after the same puts).
+    /// Cumulative payload bytes over live mappings (what a private store
+    /// would report after the same puts).
     pub(crate) payload_bytes: u64,
     /// Durable mapping log (file backend only).
     pub(crate) log: Option<FileStore>,
@@ -180,6 +197,8 @@ pub(crate) enum Backend {
 pub(crate) struct Inner {
     pub(crate) backend: Backend,
     pub(crate) nshards: usize,
+    /// Representation of new puts on every shard, for the store's life.
+    pub(crate) chunk: ChunkConfig,
     pub(crate) shards: Vec<Mutex<ShardState>>,
     pub(crate) meta: Mutex<Meta>,
     pub(crate) trace: Mutex<Trace>,
@@ -246,30 +265,49 @@ fn decode_mapping(b: &[u8]) -> Option<(Phys, u64)> {
 }
 
 /// Render the manifest JSON for the given state.
-pub(crate) fn manifest_json(nshards: usize, generation: u64, tenants: &[&str]) -> Json {
+pub(crate) fn manifest_json(inner: &Inner, generation: u64, tenants: &[&str]) -> Json {
+    let c = &inner.chunk;
     Json::obj(vec![
         ("schema", Json::Str(SHARED_SCHEMA.to_string())),
-        ("shards", Json::Int(nshards as i64)),
+        ("shards", Json::Int(inner.nshards as i64)),
         ("generation", Json::Int(generation as i64)),
         (
             "tenants",
             Json::Array(tenants.iter().map(|t| Json::Str(t.to_string())).collect()),
         ),
+        (
+            "chunk",
+            Json::obj(vec![
+                ("enabled", Json::Bool(c.enabled)),
+                ("compress", Json::Bool(c.compress)),
+                ("min", Json::Int(c.min as i64)),
+                ("avg", Json::Int(c.avg as i64)),
+                ("max", Json::Int(c.max as i64)),
+            ]),
+        ),
     ])
+}
+
+/// The chunk configuration a manifest records; `None` if malformed.
+fn manifest_chunk(j: &Json) -> Option<ChunkConfig> {
+    let size = |k: &str| j.get(k).and_then(Json::as_u64).map(|v| v as usize);
+    Some(ChunkConfig {
+        enabled: j.get("enabled")?.as_bool()?,
+        compress: j.get("compress")?.as_bool()?,
+        min: size("min")?,
+        avg: size("avg")?,
+        max: size("max")?,
+    })
 }
 
 /// Durably replace `MANIFEST.json`: write a temp file, sync it, rename it
 /// over the manifest. The rename is the commit point — a crash on either
-/// side leaves a complete manifest naming a complete generation.
-pub(crate) fn commit_manifest(dir: &Path, json: &Json) -> io::Result<()> {
+/// side leaves a complete manifest naming a complete generation. `budget`
+/// is GC's crash-test byte budget (`None` = unlimited).
+pub(crate) fn commit_manifest(dir: &Path, json: &Json, budget: &mut Option<u64>) -> io::Result<()> {
     let tmp = dir.join("MANIFEST.tmp");
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.dump().as_bytes())?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, manifest_path(dir))
+    write_budgeted(&tmp, json.dump().as_bytes(), budget)?;
+    rename_budgeted(&tmp, &manifest_path(dir), budget)
 }
 
 /// Remove generation-suffixed files in `dir` not belonging to `keep_gen`
@@ -300,56 +338,37 @@ pub(crate) fn remove_stale_generations(dir: &Path, keep_gen: u64) {
 #[allow(clippy::arc_with_non_send_sync)]
 impl SharedStore {
     /// Fresh in-memory shared store with `nshards` shards (clamped ≥ 1).
-    /// Shard chunking follows the `KISHU_CHUNKING`/`KISHU_COMPRESS` env
-    /// knobs; use [`SharedStore::in_memory_with`] to pin it.
+    /// Shard chunking follows the `KISHU_CHUNKING` kill-switch; use
+    /// [`SharedStore::in_memory_with`] to pin it.
     pub fn in_memory(nshards: usize) -> Self {
-        Self::in_memory_with(nshards, crate::chunk::ChunkConfig::from_env())
+        Self::in_memory_with(nshards, ChunkConfig::from_env())
     }
 
     /// Fresh in-memory shared store with an explicit per-shard chunk
     /// configuration (env-independent; what tests asserting chunk-layer
     /// behaviour should use).
-    pub fn in_memory_with(nshards: usize, cfg: crate::chunk::ChunkConfig) -> Self {
+    pub fn in_memory_with(nshards: usize, cfg: ChunkConfig) -> Self {
         let nshards = nshards.max(1);
-        let shards = (0..nshards)
-            .map(|_| {
-                Mutex::new(ShardState {
-                    store: Box::new(MemoryStore::with_config(cfg.clone()))
-                        as Box<dyn CheckpointStore>,
-                    dedup: HashMap::new(),
-                    refs: Vec::new(),
-                    lens: Vec::new(),
-                })
-            })
-            .collect();
-        SharedStore {
-            inner: Arc::new(Inner {
-                backend: Backend::Memory,
-                nshards,
-                shards,
-                meta: Mutex::new(Meta { tenants: BTreeMap::new(), generation: 0 }),
-                trace: Mutex::new(Trace::disabled()),
-                crash_after: Mutex::new(None),
-            }),
-        }
+        let shards = (0..nshards).map(|_| ShardState::new(memory_log(cfg.clone()))).collect();
+        Self::assemble(Backend::Memory, cfg, shards, BTreeMap::new(), 0)
     }
 
     /// Create a fresh file-backed store in `dir` (wiping any store files
     /// already there), with `nshards` shards at generation 0. Shard
-    /// chunking follows the env knobs; use [`SharedStore::create_with`]
-    /// to pin it.
+    /// chunking follows the `KISHU_CHUNKING` kill-switch; use
+    /// [`SharedStore::create_with`] to pin it.
     pub fn create(dir: impl AsRef<Path>, nshards: usize) -> io::Result<Self> {
-        Self::create_with(dir, nshards, crate::chunk::ChunkConfig::from_env())
+        Self::create_with(dir, nshards, ChunkConfig::from_env())
     }
 
     /// Create a fresh file-backed store with an explicit per-shard chunk
     /// configuration (env-independent; what tests asserting chunk-layer
-    /// behaviour should use). GC compaction preserves the configuration
-    /// when it rewrites a generation.
+    /// behaviour should use). The manifest records the configuration, so
+    /// [`SharedStore::open`] and GC compaction keep it.
     pub fn create_with(
         dir: impl AsRef<Path>,
         nshards: usize,
-        cfg: crate::chunk::ChunkConfig,
+        cfg: ChunkConfig,
     ) -> io::Result<Self> {
         let dir = dir.as_ref();
         let nshards = nshards.max(1);
@@ -366,82 +385,65 @@ impl SharedStore {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
-        let mut shards = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let store =
-                FileStore::create_with(shard_path(dir, i, 0), cfg.clone(), group_commit_from_env())?;
-            shards.push(Mutex::new(ShardState {
-                store: Box::new(store) as Box<dyn CheckpointStore>,
-                dedup: HashMap::new(),
-                refs: Vec::new(),
-                lens: Vec::new(),
-            }));
-        }
-        commit_manifest(dir, &manifest_json(nshards, 0, &[]))?;
-        Ok(SharedStore {
-            inner: Arc::new(Inner {
-                backend: Backend::File { dir: dir.to_path_buf() },
-                nshards,
-                shards,
-                meta: Mutex::new(Meta { tenants: BTreeMap::new(), generation: 0 }),
-                trace: Mutex::new(Trace::disabled()),
-                crash_after: Mutex::new(None),
-            }),
-        })
+        let shards = (0..nshards)
+            .map(|i| Ok(ShardState::new(file_log(&shard_path(dir, i, 0), cfg.clone())?)))
+            .collect::<io::Result<_>>()?;
+        let backend = Backend::File { dir: dir.to_path_buf() };
+        let store = Self::assemble(backend, cfg, shards, BTreeMap::new(), 0);
+        commit_manifest(dir, &manifest_json(&store.inner, 0, &[]), &mut None)?;
+        Ok(store)
     }
 
     /// Open an existing file-backed store, recovering from whatever a crash
     /// left behind: the manifest names the committed generation; shard and
-    /// mapping logs recover their torn tails via [`FileStore::open`]; dedup
-    /// maps and refcounts are rebuilt by scanning; files from uncommitted
-    /// generations are swept away.
+    /// mapping logs recover their torn tails; dedup maps and refcounts are
+    /// rebuilt by scanning; files from uncommitted generations are swept
+    /// away. New puts use the chunk configuration the manifest records (a
+    /// manifest without one gets [`ChunkConfig::from_env`]).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
+        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let text = std::fs::read_to_string(manifest_path(dir))?;
         let j = Json::parse(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {e:?}")))?;
         if j.get("schema").and_then(Json::as_str) != Some(SHARED_SCHEMA) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "unknown manifest schema"));
+            return Err(invalid("unknown manifest schema"));
         }
         let nshards = j
             .get("shards")
             .and_then(Json::as_i64)
             .filter(|&n| n >= 1)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "manifest shard count"))?
-            as usize;
+            .ok_or_else(|| invalid("manifest shard count"))? as usize;
         let generation = j.get("generation").and_then(Json::as_i64).unwrap_or(0) as u64;
         let tenant_names: Vec<String> = j
             .get("tenants")
             .and_then(Json::as_array)
             .map(|a| a.iter().filter_map(|t| t.as_str().map(str::to_string)).collect())
             .unwrap_or_default();
+        let chunk = match j.get("chunk") {
+            None => ChunkConfig::from_env(),
+            Some(c) => manifest_chunk(c).ok_or_else(|| invalid("manifest chunk config"))?,
+        };
         remove_stale_generations(dir, generation);
 
         let mut shards = Vec::with_capacity(nshards);
         for i in 0..nshards {
-            let path = shard_path(dir, i, generation);
-            let store = if path.exists() { FileStore::open(&path)? } else { FileStore::create(&path)? };
-            let count = store.blob_count();
-            let mut dedup = HashMap::new();
-            let mut lens = Vec::with_capacity(count as usize);
+            let mut sh = ShardState::new(file_log(&shard_path(dir, i, generation), chunk.clone())?);
+            let count = sh.store.blob_count();
             for idx in 0..count {
-                match store.get(idx) {
+                match sh.store.get(idx) {
                     Ok(bytes) => {
                         // First writer wins, matching put's behavior.
-                        dedup.entry(content_key(&bytes)).or_insert(idx as u32);
-                        lens.push(bytes.len() as u64);
+                        sh.dedup.entry(content_key(&bytes)).or_insert(idx as u32);
+                        sh.lens.push(bytes.len() as u64);
                     }
                     // Unreadable payload: keep the slot (ids are positional)
                     // but never dedup onto it.
-                    Err(_) => lens.push(0),
+                    Err(_) => sh.lens.push(0),
                 }
             }
-            shards.push(Mutex::new(ShardState {
-                store: Box::new(store) as Box<dyn CheckpointStore>,
-                dedup,
-                refs: vec![0; count as usize],
-                lens,
-            }));
+            sh.refs = vec![0; count as usize];
+            shards.push(sh);
         }
 
         let mut tenants = BTreeMap::new();
@@ -452,39 +454,46 @@ impl SharedStore {
             let mut payload_bytes = 0u64;
             for rec in 0..log.blob_count() {
                 let bytes = log.get(rec)?;
+                // A mapping may outrun its payload if the shard log lost a
+                // tail the mapping log kept: degrade to a tombstone.
                 let mapping = decode_mapping(&bytes).filter(|(p, _)| {
-                    // A mapping may outrun its payload if the shard log lost
-                    // a tail the mapping log kept: degrade to a tombstone.
-                    (p.shard as usize) < nshards && {
-                        let sh = shards[p.shard as usize].lock().expect("shard lock");
-                        (p.idx as u64) < sh.store.blob_count()
-                    }
+                    let sh = shards.get(p.shard as usize);
+                    sh.is_some_and(|sh| (p.idx as u64) < sh.store.blob_count())
                 });
                 if let Some((p, len)) = mapping {
-                    let mut sh = shards[p.shard as usize].lock().expect("shard lock");
-                    sh.refs[p.idx as usize] += 1;
+                    shards[p.shard as usize].refs[p.idx as usize] += 1;
                     payload_bytes += len;
-                    blobs.push(Some((p, len)));
-                } else {
-                    blobs.push(None);
                 }
+                blobs.push(mapping);
             }
             tenants.insert(
                 name,
                 TenantState { blobs, payload_bytes, log: Some(log), ops: TenantOpStats::default() },
             );
         }
+        let backend = Backend::File { dir: dir.to_path_buf() };
+        Ok(Self::assemble(backend, chunk, shards, tenants, generation))
+    }
 
-        Ok(SharedStore {
+    /// A store handle over the given parts.
+    fn assemble(
+        backend: Backend,
+        chunk: ChunkConfig,
+        shards: Vec<ShardState>,
+        tenants: BTreeMap<String, TenantState>,
+        generation: u64,
+    ) -> Self {
+        SharedStore {
             inner: Arc::new(Inner {
-                backend: Backend::File { dir: dir.to_path_buf() },
-                nshards,
-                shards,
+                backend,
+                nshards: shards.len(),
+                chunk,
+                shards: shards.into_iter().map(Mutex::new).collect(),
                 meta: Mutex::new(Meta { tenants, generation }),
                 trace: Mutex::new(Trace::disabled()),
                 crash_after: Mutex::new(None),
             }),
-        })
+        }
     }
 
     /// The tenant view named `name`, registering it (durably, for a
@@ -505,7 +514,8 @@ impl SharedStore {
             );
             if let Backend::File { dir } = &self.inner.backend {
                 let names: Vec<&str> = meta.tenants.keys().map(String::as_str).collect();
-                commit_manifest(dir, &manifest_json(self.inner.nshards, meta.generation, &names))?;
+                let manifest = manifest_json(&self.inner, meta.generation, &names);
+                commit_manifest(dir, &manifest, &mut None)?;
             }
         }
         Ok(TenantHandle { inner: Arc::clone(&self.inner), name: name.to_string() })
@@ -782,9 +792,9 @@ impl CheckpointStore for TenantHandle {
     }
 
     fn stats(&self) -> StoreStats {
-        // Logical accounting, mirroring MemoryStore: a tenant must not be
-        // able to observe its neighbors (or the dedup they induce) through
-        // sizes. True physical usage lives on SharedStore::stats.
+        // Logical accounting (physical bytes reported as payload bytes): a
+        // tenant must not be able to observe its neighbors (or the dedup
+        // they induce) through sizes. True physical usage lives on SharedStore::stats.
         let meta = self.inner.meta.lock().expect("meta lock");
         let t = meta.tenants.get(&self.name).expect("tenant registered");
         StoreStats {
@@ -981,11 +991,31 @@ mod tests {
     }
 
     #[test]
-    fn shard_env_knob_parses_and_clamps() {
-        // Can't set env vars safely in-process; check the default and the
-        // clamp bounds via the constant contract.
-        let n = default_shard_count();
-        assert!((1..=64).contains(&n));
+    fn open_keeps_the_chunk_config_the_manifest_records() {
+        // A small-chunk configuration pinned at creation must govern puts
+        // after a reopen too; under any other config the edited copy
+        // would cut differently and share no chunks with the original.
+        let dir = temp_dir("pinned-chunk");
+        let cfg = ChunkConfig { enabled: true, compress: true, min: 256, avg: 512, max: 2048 };
+        let big: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();
+        {
+            let store = SharedStore::create_with(&dir, 1, cfg.clone()).expect("create");
+            store.tenant("alice").expect("tenant").put(&big).expect("put");
+            store.sync_all().expect("sync");
+        }
+        let store = SharedStore::open(&dir).expect("open");
+        let before = store.chunk_stats().expect("chunking on");
+        let mut edited = big.clone();
+        edited[20_000] ^= 0x5A;
+        store.tenant("alice").expect("tenant").put(&edited).expect("put");
+        let after = store.chunk_stats().expect("chunking on");
+        let written = after.chunks - before.chunks;
+        assert!(
+            after.chunk_refs - before.chunk_refs > written,
+            "chunk dedup must fire after reopen: {before:?} -> {after:?}"
+        );
+        assert_eq!(store.inner.chunk, cfg);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1022,7 +1052,7 @@ mod tests {
         // chunk dedup scope is the shard, see the module docs. Config is
         // pinned so the `KISHU_CHUNKING=0` CI matrix leg can't turn the
         // layer off under the test.
-        let store = SharedStore::in_memory_with(1, crate::chunk::ChunkConfig::default());
+        let store = SharedStore::in_memory_with(1, ChunkConfig::default());
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         let big: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();

@@ -58,6 +58,17 @@ if grep -nE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|serd
     exit 1
 fi
 
+stage "guard: kishu-storage reads no environment variable but KISHU_CHUNKING"
+# The storage crate takes explicit configuration. The one exception is the
+# KISHU_CHUNKING kill-switch read in chunk.rs, which the v2 matrix below
+# sets; any other env read there is a knob nobody pinned down.
+if grep -rnE 'env::vars?(_os)?\b' crates/storage/src \
+    | grep -vE '^crates/storage/src/chunk\.rs:[0-9]+: .*std::env::var\("KISHU_CHUNKING"\)'; then
+    echo "error: crates/storage/src reads an environment variable above;" \
+         "only KISHU_CHUNKING in chunk.rs is allowed" >&2
+    exit 1
+fi
+
 stage "cargo build --release --offline"
 cargo build --release --offline --workspace --benches
 
@@ -134,9 +145,9 @@ if [ "$QUICK" != 1 ]; then
         exit 1
     fi
 
-    # Storage-engine-v2 kill-switch matrix: chunking/compression must be
+    # Storage-engine-v2 kill-switch matrix: content-defined chunking must be
     # representation-only, so the storage crate and every integration
-    # differential run with the layer forced off (KISHU_CHUNKING=0, the v1
+    # differential run with chunking forced off (KISHU_CHUNKING=0, the v1
     # bit-identical path) and forced on, under the same pinned seed, at
     # both ends of the worker matrix. The workspace passes above already
     # cover the default-on/default-seed paths; this matrix pins everything

@@ -186,18 +186,13 @@ fn chunking_is_representation_only_file_store() {
     for workers in WORKER_COUNTS {
         let on_path = temp_path(&format!("on-{workers}.log"));
         let off_path = temp_path(&format!("off-{workers}.log"));
-        // Group commit on for the v2 arm, off for the v1 arm: the barrier
-        // plumbing must not leak into any logical observation either.
         let (on, on_phys) = observe(
-            Box::new(FileStore::create_with(&on_path, v2_cfg(), true).expect("create")),
+            Box::new(FileStore::create_with(&on_path, v2_cfg()).expect("create")),
             &cells,
             workers,
         );
         let (off, off_phys) = observe(
-            Box::new(
-                FileStore::create_with(&off_path, ChunkConfig::disabled(), false)
-                    .expect("create"),
-            ),
+            Box::new(FileStore::create_with(&off_path, ChunkConfig::disabled()).expect("create")),
             &cells,
             workers,
         );

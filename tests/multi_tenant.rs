@@ -10,8 +10,13 @@
 //!
 //! 1. **an identical store view**: same dense blob ids, same bytes, same
 //!    errors, same logical stats;
-//! 2. **identical per-cell reports**: node ids, checkpoint/written bytes,
-//!    dedup and drop counters;
+//! 2. **identical per-cell reports**: node ids, checkpoint bytes, dedup
+//!    and drop counters. The physical fields (`bytes_written`, chunk
+//!    counters, `bytes_compressed`, `physical_bytes`) depend on the private
+//!    store's representation and are left out, as in
+//!    `tests/chunking_differential.rs`; instead the tenant's own physical
+//!    fields are pinned opaque (logical bytes, zero chunk counters), so no
+//!    neighbor's dedup can show through them;
 //! 3. **identical restored namespaces** at every checkpoint of every
 //!    session;
 //! 4. **an identical fault ledger** when the store injects faults —
@@ -107,14 +112,14 @@ fn tenant_cells(base_seed: u64, tenant: usize, n_cells: usize) -> Vec<String> {
     cells
 }
 
-type Fingerprint = (Option<NodeId>, u64, u64, usize, usize, Vec<String>);
+type Fingerprint = (Option<NodeId>, u64, usize, usize, Vec<String>);
 
-/// The fields of a [`CellReport`] that must agree solo vs interleaved.
+/// The fields of a [`CellReport`] that must agree solo vs interleaved
+/// (everything but the physical ones).
 fn report_fingerprint(r: &CellReport) -> Fingerprint {
     (
         r.node,
         r.checkpoint_bytes,
-        r.bytes_written,
         r.blobs_dropped,
         r.blobs_deduped,
         r.updated.iter().map(|k| format!("{k:?}")).collect(),
@@ -132,13 +137,13 @@ fn snapshot(s: &KishuSession) -> BTreeMap<String, String> {
 
 /// Everything a session can observe about its own world: per-cell reports,
 /// its store view (every blob id's bytes, in order), its logical store
-/// stats, the namespace restored at every one of its checkpoints, and its
-/// final namespace.
+/// stats (blobs, payload bytes), the namespace restored at every one of its
+/// checkpoints, and its final namespace.
 #[derive(Debug, PartialEq, Eq)]
 struct Observation {
     reports: Vec<Fingerprint>,
     store_view: Vec<Vec<u8>>,
-    stats: (u64, u64, u64),
+    stats: (u64, u64),
     at_nodes: Vec<(NodeId, BTreeMap<String, String>)>,
     final_ns: BTreeMap<String, String>,
 }
@@ -165,7 +170,7 @@ fn observe(mut session: KishuSession, cells: &[String]) -> Observation {
         session.checkout(n).expect("checkout own checkpoint");
         at_nodes.push((n, snapshot(&session)));
     }
-    Observation { reports, store_view, stats: (st.blobs, st.payload_bytes, st.physical_bytes), at_nodes, final_ns }
+    Observation { reports, store_view, stats: (st.blobs, st.payload_bytes), at_nodes, final_ns }
 }
 
 /// The solo oracle: each tenant alone on a private in-memory store.
@@ -196,6 +201,7 @@ fn run_interleaved(
         .collect();
     let mut reports: Vec<Vec<Fingerprint>> = vec![Vec::new(); TENANTS.len()];
     let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); TENANTS.len()];
+    let mut written = vec![0u64; TENANTS.len()];
     // Round-robin interleaving: cell 0 of every tenant, then cell 1, ...
     for i in 0..n_cells {
         for (ti, s) in sessions.iter_mut().enumerate() {
@@ -204,6 +210,9 @@ fn run_interleaved(
                 nodes[ti].push(n);
             }
             reports[ti].push(report_fingerprint(&r));
+            // The tenant view reports opaque receipts: no chunk layer.
+            assert_eq!((r.chunks_written, r.chunks_deduped, r.bytes_compressed), (0, 0, 0));
+            written[ti] += r.bytes_written;
         }
     }
     let mut out = Vec::new();
@@ -213,6 +222,13 @@ fn run_interleaved(
             .map(|i| s.store().get(i).expect("own blobs read back"))
             .collect();
         let st = s.store_stats();
+        // Physical fields stay opaque: what was written is the logical
+        // bytes put, whatever the neighbors deduplicated underneath.
+        assert_eq!(written[ti], st.payload_bytes, "tenant bytes_written leaks physical truth");
+        assert_eq!(
+            st.physical_bytes, st.payload_bytes,
+            "tenant physical_bytes leaks physical truth"
+        );
         let mut at_nodes = Vec::new();
         for n in nodes[ti].clone() {
             s.checkout(n).expect("checkout own checkpoint");
@@ -221,7 +237,7 @@ fn run_interleaved(
         out.push(Observation {
             reports: reports[ti].clone(),
             store_view,
-            stats: (st.blobs, st.payload_bytes, st.physical_bytes),
+            stats: (st.blobs, st.payload_bytes),
             at_nodes,
             final_ns,
         });
