@@ -978,7 +978,7 @@ impl KishuSession {
             // collecting after every tiny cell would make GC cost grow with
             // session age. Collect only once enough new allocations piled
             // up since the last sweep.
-            let allocs = self.interp.heap.stats().total_allocated;
+            let allocs = self.interp.heap.total_allocated();
             if allocs - self.last_gc_allocs > 4096 {
                 self.interp.gc();
                 self.last_gc_allocs = allocs;

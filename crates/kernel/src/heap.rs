@@ -338,7 +338,14 @@ impl Heap {
             .filter_map(|(idx, s)| s.as_ref().map(|_| ObjId(idx as u32)))
     }
 
-    /// Aggregate statistics.
+    /// Total objects ever allocated, without [`Heap::stats`]'s walk over
+    /// every slot.
+    pub fn total_allocated(&self) -> u64 {
+        self.total_allocated
+    }
+
+    /// Aggregate statistics. Walks every slot ever allocated; use
+    /// [`Heap::total_allocated`] when that count is all you need.
     pub fn stats(&self) -> HeapStats {
         let mut live_objects = 0;
         let mut live_bytes = 0;
@@ -491,6 +498,7 @@ mod tests {
         heap.collect_garbage(std::iter::empty());
         assert_eq!(heap.stats().live_objects, 0);
         assert_eq!(heap.stats().total_allocated, 3);
+        assert_eq!(heap.total_allocated(), 3);
     }
 
     #[test]

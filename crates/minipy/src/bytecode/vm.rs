@@ -559,8 +559,8 @@ mod tests {
                 let tb: Vec<_> = vm.globals.bindings().collect();
                 assert_eq!(ta, tb, "namespace ObjIds diverged on {src:?}");
                 assert_eq!(
-                    tree.heap.stats().total_allocated,
-                    vm.heap.stats().total_allocated,
+                    tree.heap.total_allocated(),
+                    vm.heap.total_allocated(),
                     "allocation counts diverged on {src:?}"
                 );
             }

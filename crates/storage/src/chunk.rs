@@ -19,12 +19,22 @@
 //!
 //! Chunks are persisted in their **stored form**: a one-byte flag (`0` =
 //! stored raw, `1` = compressed with [`kishu_testkit::compress`]) followed
-//! by the data. Compression is applied per chunk and kept only when it
-//! wins, so an incompressible chunk costs exactly one flag byte. Because
-//! the compressor is canonical (same input, same output), deduplicating on
-//! the stored form is equivalent to deduplicating on the raw chunk bytes —
-//! and lets the log's recovery scan rebuild the dedup map from disk without
-//! decompressing anything.
+//! by the data. A chunk is compressed only if the encoder's early exit lets
+//! it finish (its first KiB saves at least 1/16 —
+//! [`compress::try_compress_into`]) and the result is smaller than the raw
+//! bytes; otherwise it is stored raw, so an incompressible chunk costs one
+//! flag byte and about a KiB of encoding work. Both decisions depend only
+//! on the chunk's bytes, and the compressor is canonical (same input, same
+//! output), so deduplicating on the stored form is equivalent to
+//! deduplicating on the raw chunk bytes — and lets the log's recovery scan
+//! rebuild the dedup map from disk without decompressing anything. Logs
+//! written before the early exit existed hold a chunk that compresses only
+//! past its first KiB in compressed form; put again, it misses dedup
+//! against that record and is stored once more, raw.
+//!
+//! The cutter's rolling hash depends only on the last 64 bytes it saw, so
+//! it starts each chunk's hash `min − 64` bytes in: no cut can fall before
+//! `min`, and the bytes it skips would have shifted out of the hash anyway.
 //!
 //! Everything here is representation-only: with chunking on or off, a
 //! store's logical view (ids, payloads, stats minus physical bytes) is
@@ -127,42 +137,59 @@ impl ChunkConfig {
     }
 }
 
+/// Bytes of input the Gear hash remembers: each step shifts the hash one
+/// bit left, so a byte's contribution is gone 64 steps later.
+const GEAR_WINDOW: usize = 64;
+
 /// Split `bytes` at content-determined boundaries. Deterministic: the cut
 /// points depend only on the bytes and the config. Every span is within
 /// `[min, max]` except possibly the final one (which may be shorter).
+///
+/// A span ends after the first byte, at least `min` bytes in, where the
+/// Gear hash of the span so far has no bits under the mask set, or after
+/// `max` bytes if none does.
 pub fn chunk_spans(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range<usize>> {
     let mask = cfg.mask();
+    let (min, max) = (cfg.min.max(1), cfg.max.max(1));
     let mut spans = Vec::with_capacity(bytes.len() / cfg.avg.max(1) + 1);
     let mut start = 0usize;
-    let mut hash = 0u64;
-    for (pos, &b) in bytes.iter().enumerate() {
-        hash = (hash << 1).wrapping_add(GEAR[b as usize]);
-        let len = pos - start + 1;
-        if (len >= cfg.min && hash & mask == 0) || len >= cfg.max {
-            spans.push(start..pos + 1);
-            start = pos + 1;
-            hash = 0;
+    while start < bytes.len() {
+        let limit = bytes.len().min(start + max);
+        // The first byte a cut may follow, and the window of bytes before
+        // it that its hash still remembers.
+        let first = (start + min - 1).min(limit);
+        let warm = (start + min).saturating_sub(GEAR_WINDOW).clamp(start, first);
+        let mut hash = 0u64;
+        for &b in &bytes[warm..first] {
+            hash = (hash << 1).wrapping_add(GEAR[b as usize]);
         }
-    }
-    if start < bytes.len() {
-        spans.push(start..bytes.len());
+        let mut end = limit;
+        for (pos, &b) in bytes[first..limit].iter().enumerate() {
+            hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+            if hash & mask == 0 {
+                end = first + pos + 1;
+                break;
+            }
+        }
+        spans.push(start..end);
+        start = end;
     }
     spans
 }
 
 /// Encode one raw chunk into its stored form: `[flag][data]`, compressed
-/// only when compression actually wins.
+/// only when the encoder's early exit lets it finish and the result is
+/// smaller than the raw bytes.
 pub fn encode_chunk(raw: &[u8], compress_enabled: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + raw.len());
     if compress_enabled {
-        let c = compress::compress(raw);
-        if c.len() < raw.len() {
-            let mut out = Vec::with_capacity(1 + c.len());
-            out.push(CHUNK_COMPRESSED);
-            out.extend_from_slice(&c);
+        out.push(CHUNK_COMPRESSED);
+        // `out` holds the flag byte too: the stream is shorter than `raw`.
+        if compress::try_compress_into(raw, &mut out) && out.len() <= raw.len() {
             return out;
         }
+        out.clear();
     }
-    let mut out = Vec::with_capacity(1 + raw.len());
     out.push(CHUNK_STORED);
     out.extend_from_slice(raw);
     out
@@ -174,8 +201,7 @@ pub fn decode_chunk(stored: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
     match stored.split_first() {
         Some((&CHUNK_STORED, data)) => out.extend_from_slice(data),
         Some((&CHUNK_COMPRESSED, data)) => {
-            let raw = compress::decompress(data).ok_or_else(|| bad("chunk failed to decompress"))?;
-            out.extend_from_slice(&raw);
+            compress::decompress_into(data, out).ok_or_else(|| bad("chunk failed to decompress"))?;
         }
         Some(_) => return Err(bad("unknown chunk flag")),
         None => return Err(bad("empty chunk record")),
@@ -362,6 +388,66 @@ mod tests {
         assert!(spans.len() > 2, "300KB must cut into several chunks");
     }
 
+    /// The per-byte cutter: hashes every byte of every span from its
+    /// start, and checks the cut rule at every position.
+    fn reference_spans(bytes: &[u8], cfg: &ChunkConfig) -> Vec<std::ops::Range<usize>> {
+        let mask = cfg.mask();
+        let mut spans = Vec::new();
+        let mut start = 0usize;
+        let mut hash = 0u64;
+        for (pos, &b) in bytes.iter().enumerate() {
+            hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+            let len = pos - start + 1;
+            if (len >= cfg.min && hash & mask == 0) || len >= cfg.max {
+                spans.push(start..pos + 1);
+                start = pos + 1;
+                hash = 0;
+            }
+        }
+        if start < bytes.len() {
+            spans.push(start..bytes.len());
+        }
+        spans
+    }
+
+    #[test]
+    fn skip_ahead_cutter_matches_the_per_byte_reference() {
+        let mut rng = Rng::seed_from_u64(0x6EA2);
+        let random: Vec<u8> = (0..200_000).map(|_| rng.next_u64() as u8).collect();
+        let inputs = [
+            ("random", random),
+            ("structured", payload(5, 200_000)),
+            ("zeros", vec![0u8; 200_000]),
+            ("short", payload(6, 100)),
+            ("empty", Vec::new()),
+        ];
+        let cfg = |min, avg, max| ChunkConfig { min, avg, max, ..ChunkConfig::default() };
+        let configs = [
+            ChunkConfig::default(),
+            cfg(0, 16, 64),
+            cfg(1, 32, 100),
+            cfg(16, 64, 256),
+            cfg(63, 128, 1024),
+            cfg(64, 128, 1024),
+            cfg(65, 128, 1024),
+            cfg(100, 256, 150),
+            cfg(512, 64, 4096),
+            cfg(4096, 1024, 1000),
+        ];
+        for (name, data) in &inputs {
+            for c in &configs {
+                assert_eq!(
+                    chunk_spans(data, c),
+                    reference_spans(data, c),
+                    "{name} input, min {} avg {} max {}",
+                    c.min,
+                    c.avg,
+                    c.max
+                );
+            }
+        }
+    }
+
     #[test]
     fn cutting_is_deterministic() {
         let cfg = ChunkConfig::default();
@@ -422,6 +508,18 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_the_early_exit_declines_is_stored_raw() {
+        // Compressible as a whole, but its first KiB is noise.
+        let mut rng = Rng::seed_from_u64(10);
+        let mut raw: Vec<u8> = (0..1024).map(|_| rng.next_u64() as u8).collect();
+        raw.resize(8192, 0);
+        assert!(compress::compress(&raw).len() < raw.len() / 2);
+        let stored = encode_chunk(&raw, true);
+        assert_eq!(stored[0], CHUNK_STORED);
+        assert_eq!(decoded(&stored), raw);
+    }
+
+    #[test]
     fn ledger_dedups_repeat_chunks() {
         let cfg = ChunkConfig::default();
         let mut ledger = ChunkLedger::new();
@@ -472,5 +570,48 @@ mod tests {
         assert!(!off.enabled && !off.compress);
         assert!(!off.chunks_payload(1 << 20));
         assert!(cfg.chunks_payload(cfg.min) && !cfg.chunks_payload(cfg.min - 1));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use kishu_testkit::prelude::*;
+
+    /// Chunk-sized payloads: noise, low-entropy runs, and the two mixed
+    /// around the encoder's early-exit probe.
+    fn chunk() -> BoxedStrategy<Vec<u8>> {
+        let noise = || prop::collection::vec(any::<u8>(), 0usize..4096);
+        let runs = || prop::collection::vec(0u8..3, 0usize..8192);
+        prop_oneof![
+            noise().boxed(),
+            runs().boxed(),
+            (noise(), runs()).prop_map(|(a, b)| [a, b].concat()).boxed(),
+            (runs(), noise()).prop_map(|(a, b)| [a, b].concat()).boxed(),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stored_form_is_canonical_and_round_trips(raw in chunk()) {
+            let stored = encode_chunk(&raw, true);
+            let full = compress::compress(&raw);
+            match stored[0] {
+                // Compressed chunks hold exactly the full encoder's bytes,
+                // and only when those are smaller.
+                CHUNK_COMPRESSED => {
+                    prop_assert_eq!(&stored[1..], &full[..]);
+                    prop_assert!(full.len() < raw.len());
+                }
+                _ => prop_assert_eq!(&stored[1..], &raw[..]),
+            }
+            let mut out = vec![0xEE];
+            decode_chunk(&stored, &mut out).expect("decode");
+            prop_assert_eq!(&out[1..], &raw[..]);
+            prop_assert_eq!(stored_chunk_raw_len(&stored).expect("raw len"), raw.len() as u64);
+        }
     }
 }

@@ -152,6 +152,38 @@ mod tests {
     }
 
     #[test]
+    fn live_handle_detects_a_flipped_byte_in_a_middle_chunk() {
+        let path = temp_path("corrupt-chunk.log");
+        let mut rng = kishu_testkit::rng::Rng::seed_from_u64(0xF11B);
+        let blob: Vec<u8> = (0..200_000).map(|_| rng.next_u64() as u8).collect();
+        let mut s = FileStore::create_with(&path, ChunkConfig::default()).expect("create");
+        let id = s.put(&blob).expect("put");
+        s.sync().expect("sync");
+        assert_eq!(s.get(id).expect("get"), blob);
+
+        // Walk the log's frames to the middle chunk record of the blob.
+        let bytes = std::fs::read(&path).expect("read log");
+        let mut chunks = Vec::new();
+        let mut off = 0usize;
+        while off < bytes.len() {
+            let len = u32::from_le_bytes(bytes[off + 1..off + 5].try_into().expect("4 bytes"));
+            if bytes[off] == MARKER_CHUNK {
+                chunks.push(off + HEADER_LEN as usize);
+            }
+            off += HEADER_LEN as usize + len as usize;
+        }
+        assert!(chunks.len() >= 3, "the blob spans {} chunks", chunks.len());
+        let mut f = OpenOptions::new().write(true).open(&path).expect("raw");
+        f.seek(SeekFrom::Start(chunks[chunks.len() / 2] as u64 + 10)).expect("seek");
+        f.write_all(&[0x5A ^ bytes[chunks[chunks.len() / 2] + 10]]).expect("write");
+        drop(f);
+
+        let err = s.get(id).expect_err("a flipped byte must not read back");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn garbage_marker_stops_recovery() {
         let path = temp_path("garbage.log");
         {

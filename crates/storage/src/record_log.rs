@@ -33,6 +33,12 @@
 //! medium is truncated back to the last intact boundary, exactly the
 //! recovery contract of a write-ahead log.
 //!
+//! **Reads**: [`CheckpointStore::get`] reads each chunk record, header
+//! included, with one [`Medium::read_at`] into a buffer reused across the
+//! blob's chunks (none for records still in the group-commit buffer),
+//! checks its CRC in place on a device, and decodes the chunk straight
+//! into the output.
+//!
 //! **Group commit**: puts append frames to an in-process buffer on the
 //! session thread, in plan order, and the buffer reaches the medium at the
 //! next [`CheckpointStore::sync`], [`CheckpointStore::flush_barrier`], size
@@ -280,36 +286,54 @@ impl<M: Medium> Log<M> {
     }
 
     /// Read a record's payload (from the buffer if not yet flushed). On a
-    /// device the CRC in front of it is read in the same observation and
-    /// checked against the bytes; `what` names the record in the error.
+    /// device the header in front of it is read in the same observation
+    /// and its CRC checked against the bytes; `what` names the record in
+    /// the error.
     fn read_verified(
         &self,
         payload_off: u64,
         len: u32,
         what: impl FnOnce() -> String,
     ) -> io::Result<Vec<u8>> {
-        let crc_len = if self.device { 4 } else { 0 };
-        let start = payload_off - crc_len as u64;
-        let total = crc_len + len as usize;
-        let mut buf = Vec::with_capacity(total);
+        let mut scratch = Vec::new();
+        let record = self.read_record(payload_off, len, &mut scratch)?;
+        Ok(self.checked(record, what)?.to_vec())
+    }
+
+    /// The whole record, header included, whose payload of `len` bytes
+    /// starts at `payload_off`: sliced from the group-commit buffer if not
+    /// yet flushed, else read into `scratch` with one read.
+    fn read_record<'a>(
+        &'a self,
+        payload_off: u64,
+        len: u32,
+        scratch: &'a mut Vec<u8>,
+    ) -> io::Result<&'a [u8]> {
+        let start = payload_off - HEADER_LEN;
+        let total = HEADER_LEN as usize + len as usize;
         if start >= self.flushed_end {
             let i = (start - self.flushed_end) as usize;
-            buf.extend_from_slice(&self.pending[i..i + total]);
-        } else {
-            self.medium.lock().expect("store lock poisoned").read_at(start, total, &mut buf)?;
+            return Ok(&self.pending[i..i + total]);
         }
-        if !self.device {
-            return Ok(buf);
+        scratch.clear();
+        self.medium.lock().expect("store lock poisoned").read_at(start, total, scratch)?;
+        Ok(scratch)
+    }
+
+    /// The payload of one whole `record` (header included). On a device
+    /// its CRC is checked first; `what` names the record in the error.
+    fn checked<'a>(&self, record: &'a [u8], what: impl FnOnce() -> String) -> io::Result<&'a [u8]> {
+        let payload = &record[HEADER_LEN as usize..];
+        if self.device {
+            let crc = u32::from_le_bytes([record[5], record[6], record[7], record[8]]);
+            if crc32(payload) != crc {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{} failed its integrity check", what()),
+                ));
+            }
         }
-        let crc = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        buf.drain(..4);
-        if crc32(&buf) != crc {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} failed its integrity check", what()),
-            ));
-        }
-        Ok(buf)
+        Ok(payload)
     }
 }
 
@@ -416,6 +440,7 @@ impl<M: Medium> CheckpointStore for Log<M> {
                 sp.arg("bytes", *raw_len);
                 self.trace.observe("file.get_bytes", *raw_len);
                 let mut out = Vec::with_capacity(*raw_len as usize);
+                let mut scratch = Vec::new();
                 for &ord in ords {
                     let (off, len) = *self.chunk_index.get(ord as usize).ok_or_else(|| {
                         io::Error::new(
@@ -423,8 +448,9 @@ impl<M: Medium> CheckpointStore for Log<M> {
                             format!("blob {id} references missing chunk {ord}"),
                         )
                     })?;
-                    let stored = self.read_verified(off, len, || format!("blob {id} chunk {ord}"))?;
-                    decode_chunk(&stored, &mut out)?;
+                    let record = self.read_record(off, len, &mut scratch)?;
+                    let stored = self.checked(record, || format!("blob {id} chunk {ord}"))?;
+                    decode_chunk(stored, &mut out)?;
                 }
                 if out.len() as u64 != *raw_len {
                     return Err(io::Error::new(

@@ -28,6 +28,20 @@
 //! identical compressed bytes (greedy parse over a deterministic hash
 //! chain), which the chunk-dedup layer relies on — it keys chunks by
 //! their stored (post-compression) form.
+//!
+//! ## Early exit
+//!
+//! Most notebook chunks do not compress, and encoding one in full costs as
+//! much as encoding one that does. [`try_compress_into`] therefore checks
+//! its progress once, after the first [`PROBE_LEN`] input bytes, and
+//! declines unless the output so far is at least 1/16 smaller. The check
+//! depends on nothing but the input, so the decision is as canonical as
+//! the output: an input either always declines or always yields exactly
+//! [`compress`]'s bytes.
+//!
+//! The match table lives per thread and is reused across calls: entries
+//! are positions offset by a per-call base, so a call sees the entries of
+//! earlier calls as empty without refilling the table.
 
 /// Shortest match worth encoding: a match token costs 3 bytes, so
 /// anything shorter than 4 is better spent as literals.
@@ -45,11 +59,52 @@ const WINDOW: usize = u16::MAX as usize;
 /// Hash-table size for 4-byte-prefix match candidates (power of two).
 const HASH_BITS: u32 = 15;
 
+/// Input bytes [`try_compress_into`] encodes before it decides whether
+/// compression pays.
+pub const PROBE_LEN: usize = 1024;
+
+/// [`try_compress_into`] goes on only if the probe saved at least
+/// `1 / PROBE_MIN_SAVING` of its input bytes.
+const PROBE_MIN_SAVING: usize = 16;
+
 #[inline]
 fn hash4(bytes: &[u8]) -> usize {
     // Multiplicative hash over the 4-byte little-endian prefix.
     let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Most recent position per 4-byte-prefix hash, shared by every call on a
+/// thread. An entry holds `base + pos` for the call that wrote it; each
+/// call takes a fresh `base` above every entry written before, so entries
+/// below it read as empty.
+struct MatchTable {
+    head: Vec<u32>,
+    base: u32,
+}
+
+impl MatchTable {
+    /// Reserve positions `0..len` for one call and return its base.
+    fn claim(&mut self, len: usize) -> u32 {
+        let len = u32::try_from(len)
+            .ok()
+            .filter(|&l| l < u32::MAX)
+            .expect("compress input under 4 GiB");
+        if self.head.is_empty() || self.base.checked_add(len).is_none() {
+            // 0 is below every base, so a refilled table is empty.
+            self.head.clear();
+            self.head.resize(1 << HASH_BITS, 0);
+            self.base = 1;
+        }
+        let base = self.base;
+        self.base += len;
+        base
+    }
+}
+
+thread_local! {
+    static MATCH_TABLE: std::cell::RefCell<MatchTable> =
+        const { std::cell::RefCell::new(MatchTable { head: Vec::new(), base: 0 }) };
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -91,56 +146,115 @@ fn flush_literals(out: &mut Vec<u8>, lits: &[u8]) {
 /// Compress `input`. The output always decompresses to exactly `input`;
 /// it is *not* guaranteed to be smaller (incompressible data grows by the
 /// header plus ~1 byte per 128 — callers keep a stored-form fallback).
+///
+/// # Panics
+///
+/// If `input` is 4 GiB or longer.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 10);
-    push_varint(&mut out, input.len() as u64);
-    if input.len() < MIN_MATCH {
-        flush_literals(&mut out, input);
-        return out;
-    }
-    // head[h] = most recent position whose 4-byte prefix hashed to h.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut lit_start = 0usize;
-    let mut pos = 0usize;
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let cand = head[h];
-        head[h] = pos;
-        let mut matched = 0usize;
-        if cand != usize::MAX && pos - cand <= WINDOW {
-            let limit = (input.len() - pos).min(MAX_MATCH);
-            while matched < limit && input[cand + matched] == input[pos + matched] {
-                matched += 1;
-            }
-        }
-        if matched >= MIN_MATCH {
-            flush_literals(&mut out, &input[lit_start..pos]);
-            out.push(0x80 | (matched - MIN_MATCH) as u8);
-            out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
-            // Index the interior of the match sparsely (every 2nd byte):
-            // keeps long runs fast while still catching nearby repeats.
-            let end = pos + matched;
-            pos += 1;
-            while pos < end {
-                if pos + MIN_MATCH <= input.len() {
-                    head[hash4(&input[pos..])] = pos;
-                }
-                pos += 2;
-            }
-            pos = end;
-            lit_start = pos;
-        } else {
-            pos += 1;
-        }
-    }
-    flush_literals(&mut out, &input[lit_start..]);
+    encode(input, &mut out, false);
     out
+}
+
+/// Append [`compress`]`(input)` to `out` and return `true`, or leave `out`
+/// as it was and return `false` when the first [`PROBE_LEN`] bytes of
+/// `input` save less than 1/16 (see the module docs). Inputs too short to
+/// reach the probe always compress.
+///
+/// # Panics
+///
+/// If `input` is 4 GiB or longer.
+pub fn try_compress_into(input: &[u8], out: &mut Vec<u8>) -> bool {
+    let start = out.len();
+    let done = encode(input, out, true);
+    if !done {
+        out.truncate(start);
+    }
+    done
+}
+
+/// The encoder behind [`compress`] and [`try_compress_into`]: appends the
+/// compressed stream to `out`, or stops early and returns `false` if
+/// `probe` is set and the probe fails.
+fn encode(input: &[u8], out: &mut Vec<u8>, mut probe: bool) -> bool {
+    push_varint(out, input.len() as u64);
+    if input.len() < MIN_MATCH {
+        flush_literals(out, input);
+        return true;
+    }
+    let body = out.len();
+    MATCH_TABLE.with_borrow_mut(|table| {
+        let base = table.claim(input.len());
+        let head = &mut table.head[..];
+        let mut lit_start = 0usize;
+        let mut pos = 0usize;
+        while pos + MIN_MATCH <= input.len() {
+            if probe && pos >= PROBE_LEN {
+                probe = false;
+                // Pending literals will cost at least their own bytes.
+                let cost = out.len() - body + (pos - lit_start);
+                if pos.saturating_sub(cost) * PROBE_MIN_SAVING < pos {
+                    return false;
+                }
+            }
+            let h = hash4(&input[pos..]);
+            let cand = head[h].checked_sub(base).map(|c| c as usize);
+            head[h] = base + pos as u32;
+            let mut matched = 0usize;
+            if let Some(cand) = cand.filter(|&c| pos - c <= WINDOW) {
+                let limit = (input.len() - pos).min(MAX_MATCH);
+                while matched < limit && input[cand + matched] == input[pos + matched] {
+                    matched += 1;
+                }
+                if matched >= MIN_MATCH {
+                    flush_literals(out, &input[lit_start..pos]);
+                    out.push(0x80 | (matched - MIN_MATCH) as u8);
+                    out.extend_from_slice(&((pos - cand) as u16).to_le_bytes());
+                    // Index the interior of the match sparsely (every 2nd
+                    // byte): keeps long runs fast while still catching
+                    // nearby repeats.
+                    let end = pos + matched;
+                    pos += 1;
+                    while pos < end {
+                        if pos + MIN_MATCH <= input.len() {
+                            head[hash4(&input[pos..])] = base + pos as u32;
+                        }
+                        pos += 2;
+                    }
+                    pos = end;
+                    lit_start = pos;
+                    continue;
+                }
+            }
+            pos += 1;
+        }
+        flush_literals(out, &input[lit_start..]);
+        true
+    })
 }
 
 /// Decompress bytes produced by [`compress`]. Fails (returns `None`) on
 /// any malformed input: truncated stream, distance reaching before the
 /// start of output, or an output length that disagrees with the header.
 pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    decompress_into(input, &mut out)?;
+    Some(out)
+}
+
+/// [`decompress`], appending to `out`; on failure `out` is left as it was.
+/// Matches reach back only into this stream's own output, never into
+/// bytes `out` held before.
+pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Option<()> {
+    let start = out.len();
+    let done = decode(input, out, start);
+    if done.is_none() {
+        out.truncate(start);
+    }
+    done
+}
+
+fn decode(input: &[u8], out: &mut Vec<u8>, start: usize) -> Option<()> {
     let mut pos = 0usize;
     let raw_len = read_varint(input, &mut pos)? as usize;
     // A forged header must not abort the process: the remaining stream can
@@ -149,7 +263,8 @@ pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
     if raw_len > (input.len() - pos).saturating_mul(MAX_MATCH).max(1) {
         return None;
     }
-    let mut out = Vec::with_capacity(raw_len.min(1 << 22));
+    let end = start + raw_len;
+    out.reserve(raw_len.min(1 << 22));
     while pos < input.len() {
         let token = input[pos];
         pos += 1;
@@ -163,22 +278,26 @@ pub fn decompress(input: &[u8]) -> Option<Vec<u8>> {
             let dist = input.get(pos..pos + 2).map(|d| u16::from_le_bytes([d[0], d[1]]))?;
             pos += 2;
             let dist = dist as usize;
-            if dist == 0 || dist > out.len() {
+            if dist == 0 || dist > out.len() - start {
                 return None;
             }
-            // Byte-at-a-time copy: self-overlapping matches (dist < len)
-            // intentionally re-read bytes this same copy produced.
-            let start = out.len() - dist;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            let from = out.len() - dist;
+            if dist >= len {
+                out.extend_from_within(from..from + len);
+            } else {
+                // Self-overlapping match: the copy re-reads bytes it has
+                // just produced, so it goes byte by byte.
+                for i in 0..len {
+                    let b = out[from + i];
+                    out.push(b);
+                }
             }
         }
-        if out.len() > raw_len {
+        if out.len() > end {
             return None;
         }
     }
-    (out.len() == raw_len).then_some(out)
+    (out.len() == end).then_some(())
 }
 
 #[cfg(test)]
@@ -269,6 +388,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn early_exit_declines_an_incompressible_prefix() {
+        // Random bytes up to the probe, zeros after: the whole input
+        // compresses well, but the probe sees no saving and declines.
+        let mut rng = Rng::seed_from_u64(0xE1);
+        let mut data: Vec<u8> = (0..PROBE_LEN).map(|_| rng.next_u64() as u8).collect();
+        data.resize(16 * PROBE_LEN, 0);
+        assert!(compress(&data).len() < data.len() / 4);
+        let mut out = vec![0xAA];
+        assert!(!try_compress_into(&data, &mut out));
+        assert_eq!(out, [0xAA], "a declined call leaves the buffer as it was");
+    }
+
+    #[test]
+    fn early_exit_keeps_exact_output_when_it_pays() {
+        let row = b"{\"key\": 1234, \"values\": [1.0, 2.0, 3.0]}\n";
+        let data: Vec<u8> = row.iter().cycle().take(20_000).copied().collect();
+        let mut out = vec![0xAA];
+        assert!(try_compress_into(&data, &mut out));
+        assert_eq!(out[1..], compress(&data)[..]);
+        let mut back = vec![0xBB];
+        decompress_into(&out[1..], &mut back).expect("decompress");
+        assert_eq!(back[1..], data[..]);
+    }
+
+    #[test]
+    fn matches_never_reach_into_bytes_before_the_stream() {
+        // A stream that opens with a match has none of its own output to
+        // copy from, even when `out` already holds bytes.
+        let mut out = vec![7u8; 8];
+        assert_eq!(decompress_into(&[0x04, 0x80, 0x01, 0x00], &mut out), None);
+        assert_eq!(out, [7u8; 8], "a failed call leaves the buffer as it was");
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +442,25 @@ mod proptests {
         .boxed()
     }
 
+    /// Payloads that straddle the early-exit probe: an incompressible
+    /// prefix of random length followed by a compressible suffix, or the
+    /// reverse.
+    fn straddling() -> BoxedStrategy<Vec<u8>> {
+        (
+            prop::collection::vec(any::<u8>(), 0usize..3072),
+            prop::collection::vec(0u8..2, 0usize..6144),
+            any::<bool>(),
+        )
+            .prop_map(|(noise, runs, noise_first)| {
+                if noise_first {
+                    [noise, runs].concat()
+                } else {
+                    [runs, noise].concat()
+                }
+            })
+            .boxed()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -304,6 +475,25 @@ mod proptests {
             for data in [vec![], vec![b]] {
                 let c = crate::compress::compress(&data);
                 prop_assert_eq!(crate::compress::decompress(&c), Some(data));
+            }
+        }
+
+        #[test]
+        fn early_exit_is_exact_or_declines(
+            data in prop_oneof![payload(), straddling()],
+            prefix in prop::collection::vec(any::<u8>(), 0usize..4),
+        ) {
+            use crate::compress::{compress, decompress_into, try_compress_into};
+            let mut out = prefix.clone();
+            if try_compress_into(&data, &mut out) {
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&out[prefix.len()..], &compress(&data)[..]);
+                let mut back = prefix.clone();
+                prop_assert_eq!(decompress_into(&out[prefix.len()..], &mut back), Some(()));
+                prop_assert_eq!(&back[prefix.len()..], &data[..]);
+            } else {
+                prop_assert_eq!(&out, &prefix);
+                prop_assert!(data.len() > crate::compress::PROBE_LEN, "short inputs never decline");
             }
         }
 

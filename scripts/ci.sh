@@ -220,7 +220,14 @@ fi
 # this also covers dumps left by crashed/killed runs.)
 stage "rotate trace/flightrec artifacts under target/"
 rotate_keep() { # rotate_keep GLOB... (keeps the 8 newest of the set)
-    ls -1t "$@" 2>/dev/null | tail -n +9 | while IFS= read -r f; do
+    # An unmatched glob stays literal; drop it, so an empty set is a no-op
+    # rather than an `ls` failure under pipefail.
+    local files=() f
+    for f in "$@"; do
+        [ -e "$f" ] && files+=("$f")
+    done
+    [ ${#files[@]} -gt 0 ] || return 0
+    ls -1t "${files[@]}" | tail -n +9 | while IFS= read -r f; do
         rm -f "$f"
     done
 }

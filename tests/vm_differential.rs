@@ -81,7 +81,7 @@ fn run_cells(engine: Engine, srcs: &[String]) -> Observed {
         .bindings()
         .map(|(n, o)| (n.to_string(), (format!("{o:?}"), repr(&interp.heap, o))))
         .collect();
-    Observed { cells, bindings, allocated: interp.heap.stats().total_allocated }
+    Observed { cells, bindings, allocated: interp.heap.total_allocated() }
 }
 
 proptest! {
