@@ -8,8 +8,7 @@
 //!   common data; the shared store holds it once (store-wide dedup), so
 //!   the interesting number is the dedup ratio `logical / physical`;
 //! * **aggregate checkpoint throughput** — all sessions' logical bytes
-//!   over the interleaved wall time (per-shard ordered writers mean the
-//!   sessions don't serialize against one store-wide lock);
+//!   over the interleaved wall time;
 //! * **GC** — after every session persists, superseded graph snapshots are
 //!   garbage; one collection must reclaim 100% of it (a second pass finds
 //!   nothing) while every historical commit of every session still checks
@@ -23,7 +22,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use kishu::session::{KishuConfig, KishuSession};
-use kishu_storage::{GcReport, SharedStore, DEFAULT_SHARDS};
+use kishu_storage::{GcReport, SharedStore};
 use kishu_testkit::json::Json;
 
 use crate::report::{fmt_bytes, fmt_duration, Table};
@@ -33,8 +32,6 @@ use crate::report::{fmt_bytes, fmt_duration, Table};
 pub struct MultiRun {
     /// Concurrent sessions (tenants).
     pub sessions: usize,
-    /// Shards in the shared store's blob log.
-    pub shards: usize,
     /// Wall time for the interleaved run on the shared store.
     pub shared_wall: Duration,
     /// Wall time for the same sessions on private stores.
@@ -95,7 +92,7 @@ pub fn run(scale: f64, sessions: usize) -> MultiRun {
     let private_wall = private_t0.elapsed();
 
     // Shared store, cells interleaved round-robin across the sessions.
-    let store = SharedStore::in_memory(DEFAULT_SHARDS);
+    let store = SharedStore::in_memory();
     let mut shared: Vec<KishuSession> = names
         .iter()
         .map(|n| KishuSession::on_shared(&store, n, config()).expect("tenant"))
@@ -157,7 +154,6 @@ pub fn run(scale: f64, sessions: usize) -> MultiRun {
 
     MultiRun {
         sessions,
-        shards: store.shard_count(),
         shared_wall,
         private_wall,
         logical_bytes,
@@ -195,7 +191,7 @@ pub fn table(scale: f64) -> Table {
         format!("{:.1} MB/s", r.logical_bytes as f64 / r.private_wall.as_secs_f64().max(1e-9) / 1e6),
     ]);
     t.row(vec![
-        format!("shared, {} shards", r.shards),
+        "shared store".to_string(),
         fmt_bytes(r.shared_physical),
         fmt_duration(r.shared_wall),
         format!("{:.2}x", r.dedup_ratio),
@@ -229,7 +225,6 @@ pub fn bench_fragment(scale: f64) -> (Vec<(&'static str, Json)>, Json) {
     let metrics = vec![("multi_interleaved_ns", Json::Int(r.shared_wall.as_nanos() as i64))];
     let info = Json::obj(vec![
         ("sessions", Json::Int(r.sessions as i64)),
-        ("shards", Json::Int(r.shards as i64)),
         ("dedup_ratio", Json::Float(r.dedup_ratio)),
         ("logical_bytes", Json::Int(r.logical_bytes as i64)),
         ("shared_physical_bytes", Json::Int(r.shared_physical as i64)),

@@ -1,7 +1,7 @@
 //! Fig 18 (performance vs shared referencing) and Fig 19 (scalability to
 //! long notebook sessions).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu_workloads::sweeps::{long_session, shared_ref_workload};
@@ -136,7 +136,7 @@ pub fn fig4(n_rows: usize) -> Table {
             report.loaded.len(),
             fmt_bytes(report.bytes_loaded),
             report.identical,
-            fmt_duration(report.wall_time)
+            fmt_duration(Duration::from_nanos(report.co_wall_ns))
         ),
     ]);
     let sad = s.run_cell("sad_ls[0]\n").expect("parses");

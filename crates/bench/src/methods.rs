@@ -174,7 +174,7 @@ impl Driver {
                 self.versions += 1;
                 CellCost {
                     cell_time: report.outcome.wall_time,
-                    ckpt_time: report.checkpoint_time + report.tracking_time,
+                    ckpt_time: Duration::from_nanos(report.ckpt_wall_ns) + report.tracking_time,
                     ckpt_bytes: report.checkpoint_bytes,
                 }
             }
@@ -187,7 +187,7 @@ impl Driver {
                 self.versions += 1;
                 CellCost {
                     cell_time: report.outcome.wall_time,
-                    ckpt_time: report.checkpoint_time + report.tracking_time,
+                    ckpt_time: Duration::from_nanos(report.ckpt_wall_ns) + report.tracking_time,
                     ckpt_bytes: report.checkpoint_bytes,
                 }
             }

@@ -43,8 +43,6 @@ pub struct KishuConfig {
     /// always restores them by fallback recomputation (§6.2's blocklist for
     /// silently erroneous classes).
     pub blocklist: BTreeSet<String>,
-    /// Garbage-collect unreachable heap objects after each cell.
-    pub gc_after_cell: bool,
     /// Skip delta detection entirely for cells that are *provably
     /// read-only* under the static rules of [`crate::rules`] — the §6.2
     /// rule-based extension targeting the printing cells of §7.6.
@@ -159,7 +157,6 @@ impl Default for KishuConfig {
             hash_arrays: true,
             auto_checkpoint: true,
             blocklist: BTreeSet::new(),
-            gc_after_cell: true,
             rule_based_cells: false,
             hash_primitive_lists: false,
             defer_serialization: false,
@@ -333,8 +330,6 @@ pub struct CellReport {
     pub updated: Vec<CoVarKey>,
     /// Tracking (delta detection) time.
     pub tracking_time: Duration,
-    /// Checkpoint serialize+write time.
-    pub checkpoint_time: Duration,
     /// Bytes written.
     pub checkpoint_bytes: u64,
     /// Co-variables whose bytes were dropped at write time because
@@ -354,8 +349,7 @@ pub struct CellReport {
     pub chunks_deduped: u64,
     /// Bytes compression saved on this cell's written chunks.
     pub bytes_compressed: u64,
-    /// `checkpoint_time` in integer nanoseconds, for JSON report emission
-    /// and the bench comparator (no `Duration` parsing downstream).
+    /// Checkpoint serialize+write wall time in nanoseconds.
     ///
     /// Derived from the `ckpt` span (one clock read); `serialize_ns` and
     /// `write_ns` below are its phase children, so the per-phase breakdown
@@ -383,22 +377,20 @@ pub struct CheckoutReport {
     pub identical: usize,
     /// Checkpoint bytes read.
     pub bytes_loaded: u64,
-    /// End-to-end checkout wall time (includes any think-time flush this
-    /// checkout triggered; that time is *not* double-counted into the
-    /// originating cell's `checkpoint_time`).
-    pub wall_time: Duration,
     /// Stored blobs that failed to read back (I/O error after retries, or
     /// bytes that refused to deserialize) and were swallowed by falling
     /// back to recomputation — the read-side degradation counter.
     pub integrity_failures: usize,
     /// Deferred think-time co-variables this checkout flushed before
-    /// restoring (their write time is in `wall_time`).
+    /// restoring (their write time is in `co_wall_ns`).
     pub flushed: usize,
     /// Among `loaded`, the co-variables whose payload was served from the
     /// in-memory read cache — no store read, no CRC pass, no decode charge.
     pub blobs_cached: usize,
-    /// `wall_time` in integer nanoseconds, for JSON report emission and the
-    /// bench comparator (no `Duration` parsing downstream).
+    /// End-to-end checkout wall time in nanoseconds (includes any
+    /// think-time flush this checkout triggered; that time is *not*
+    /// double-counted into the originating cell's
+    /// [`CellMetrics::checkpoint_time`]).
     ///
     /// Derived from the `checkout` span (one clock read); the three phase
     /// fields below come from its child spans, so fetch/verify/apply sum to
@@ -844,7 +836,7 @@ impl KishuSession {
         track_sp.end();
 
         // The `ckpt` span *is* the checkpoint stopwatch: its `end()` below
-        // supplies `checkpoint_time`, so the report and the trace share one
+        // supplies `ckpt_wall_ns`, so the report and the trace share one
         // clock read.
         let ckpt_sp = self.trace.span("ckpt");
         let mut serialize_ns = 0u64;
@@ -971,25 +963,22 @@ impl KishuSession {
             self.trace.counter("blobs.dropped", blobs_dropped as u64);
         }
         let ckpt_wall_ns = ckpt_sp.end();
-        let checkpoint_time = Duration::from_nanos(ckpt_wall_ns);
 
-        if self.config.gc_after_cell {
-            // Amortize: a mark-sweep scans every slot ever allocated, so
-            // collecting after every tiny cell would make GC cost grow with
-            // session age. Collect only once enough new allocations piled
-            // up since the last sweep.
-            let allocs = self.interp.heap.total_allocated();
-            if allocs - self.last_gc_allocs > 4096 {
-                self.interp.gc();
-                self.last_gc_allocs = allocs;
-            }
+        // Amortize heap GC: a mark-sweep scans every slot ever allocated,
+        // so collecting after every tiny cell would make GC cost grow with
+        // session age. Collect only once enough new allocations piled up
+        // since the last sweep.
+        let allocs = self.interp.heap.total_allocated();
+        if allocs - self.last_gc_allocs > 4096 {
+            self.interp.gc();
+            self.last_gc_allocs = allocs;
         }
 
         self.metrics.cells.push(CellMetrics {
             node: committed,
             cell_time: outcome.wall_time,
             tracking_time: delta.tracking_time,
-            checkpoint_time,
+            checkpoint_time: Duration::from_nanos(ckpt_wall_ns),
             checkpoint_bytes,
             covars_updated: delta.updated.len(),
             candidates_checked: delta.candidates_checked,
@@ -1008,7 +997,6 @@ impl KishuSession {
             outcome,
             updated: delta.updated,
             tracking_time: delta.tracking_time,
-            checkpoint_time,
             checkpoint_bytes,
             blobs_dropped,
             blobs_deduped,
@@ -1030,7 +1018,7 @@ impl KishuSession {
     /// The elapsed time is attributed to the originating cell's
     /// `checkpoint_time` — it *is* that cell's checkpoint work, done late.
     /// (Checkout-triggered flushes instead land in the checkout's
-    /// `wall_time`; see [`Self::checkout`].)
+    /// `co_wall_ns`; see [`Self::checkout`].)
     pub fn flush_pending(&mut self) -> usize {
         if self.pending.is_empty() {
             return 0;
@@ -1194,7 +1182,7 @@ impl KishuSession {
 
     fn checkout_inner(&mut self, target: NodeId) -> Result<CheckoutReport, KishuError> {
         // The `checkout` span is the wall-time stopwatch: its `end()` below
-        // supplies `wall_time`/`co_wall_ns` — one clock read, shared by the
+        // supplies `co_wall_ns` — one clock read, shared by the
         // report and the trace.
         let mut co_sp = self.trace.span("checkout");
         co_sp.arg("target", target.0);
@@ -1266,7 +1254,6 @@ impl KishuSession {
             removed: plan.remove,
             identical: plan.identical.len(),
             bytes_loaded,
-            wall_time: Duration::from_nanos(co_wall_ns),
             integrity_failures: ctx.integrity_failures,
             flushed,
             blobs_cached,
@@ -1316,11 +1303,11 @@ impl KishuSession {
                             let mut sp = trace.span("checkout.decode");
                             sp.arg("blob", *blob);
                             sp.arg("bytes", sealed.len());
-                            let key = content_key(sealed);
-                            unseal_blob(sealed).map(|payload| {
+                            let verified = verify_sealed(sealed);
+                            if let Some((payload, _)) = &verified {
                                 simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
-                                (payload.to_vec(), key)
-                            })
+                            }
+                            verified
                         }
                         // Cache hits carry no worker-side work; failures
                         // have nothing to verify.
@@ -1388,13 +1375,13 @@ impl KishuSession {
                 cached: true,
                 cache_key: None,
             },
-            Fetched::Sealed(sealed) => match unseal_blob(&sealed) {
-                Some(payload) => {
+            Fetched::Sealed(sealed) => match verify_sealed(&sealed) {
+                Some((payload, ck)) => {
                     simcost::charge_bytes(payload.len() as u64, simcost::PICKLE_BPS);
                     Prefetched::Ready {
-                        payload: payload.to_vec(),
+                        payload,
                         cached: false,
-                        cache_key: Some((content_key(&sealed), blob)),
+                        cache_key: Some((ck, blob)),
                     }
                 }
                 None => Prefetched::Failed,
@@ -1473,12 +1460,7 @@ impl KishuSession {
                             // Only payloads that decoded cleanly are
                             // admitted: the cache must never launder a
                             // CRC-clean-but-undecodable blob into a "hit".
-                            self.read_cache.insert(ck, &payload);
-                            self.blob_keys.insert(blob, ck);
-                            // Shallow diff refinement reads blob_keys;
-                            // memoized reports predating this key are
-                            // stale even at an unchanged graph epoch.
-                            self.diff_cache.borrow_mut().clear();
+                            self.admit(blob, ck, &payload);
                         }
                         let bindings = key.iter().cloned().zip(roots).collect();
                         return Ok((
@@ -1699,14 +1681,19 @@ impl KishuSession {
             Fetched::Sealed(sealed) => sealed,
             Fetched::Failed => return None,
         };
-        let ck = content_key(&sealed);
-        let payload = unseal_blob(&sealed)?.to_vec();
-        self.read_cache.insert(ck, &payload);
-        self.blob_keys.insert(blob, ck);
-        // Learning a key can refine future shallow diffs — memoized
-        // reports are stale even though the graph epoch did not move.
-        self.diff_cache.borrow_mut().clear();
+        let (payload, ck) = verify_sealed(&sealed)?;
+        self.admit(blob, ck, &payload);
         Some(payload)
+    }
+
+    /// Admit a verified payload into the read cache under its content key
+    /// and learn `blob`'s key. A learned key can refine shallow diffs
+    /// (they read `blob_keys`), so memoized diff reports go stale even
+    /// though the graph epoch did not move.
+    fn admit(&mut self, blob: BlobId, ck: ContentKey, payload: &[u8]) {
+        self.read_cache.insert(ck, payload);
+        self.blob_keys.insert(blob, ck);
+        self.diff_cache.borrow_mut().clear();
     }
 
     /// Modification history of variable `name` as visible from the current
@@ -2061,6 +2048,13 @@ fn unseal_blob(blob: &[u8]) -> Option<&[u8]> {
     let crc = u32::from_le_bytes([blob[0], blob[1], blob[2], blob[3]]);
     let payload = &blob[4..];
     (crc32(payload) == crc).then_some(payload)
+}
+
+/// Verify a sealed blob read from the store: its payload and the content
+/// key the read cache files it under, or `None` if the CRC fails.
+fn verify_sealed(sealed: &[u8]) -> Option<(Vec<u8>, ContentKey)> {
+    let key = content_key(sealed);
+    unseal_blob(sealed).map(|payload| (payload.to_vec(), key))
 }
 
 /// How one co-variable was materialized during a checkout. Memoized
@@ -2661,7 +2655,7 @@ mod tests {
         let cell_cp_after: Duration = s.metrics().cells.iter().map(|c| c.checkpoint_time).sum();
         assert_eq!(
             cell_cp_before, cell_cp_after,
-            "flush time lands in the checkout's wall_time, not the cells' checkpoint_time"
+            "flush time lands in the checkout's co_wall_ns, not the cells' checkpoint_time"
         );
         assert_eq!(value(&mut s, "len(xs)"), "3");
     }

@@ -41,11 +41,11 @@
 //! derives a second entry point over the same shared fault state with its
 //! own scope (one per tenant, via [`tenant_scope`]), and
 //! [`FaultLedgerHandle::snapshot_scoped`] projects the shared ledger down
-//! to one tenant's view. Because a tenant's shard assignment is a pure
-//! function of `(tenant, op key)` — puts shard by content key, gets by the
-//! tenant-local blob id — scoping draws by `(tenant, op key)` is equivalent
-//! to keying them by `(tenant, shard, op key)`. Scope `0` (the default) is
-//! bit-for-bit the historical single-tenant behavior.
+//! to one tenant's view. The shared store keeps every tenant's payloads in
+//! one log behind tenant-private blob ids, so `(tenant, op key)` names an
+//! operation completely: nothing a neighbor does changes which draw a
+//! tenant's put or get consumes. Scope `0` (the default) is bit-for-bit
+//! the historical single-tenant behavior.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;

@@ -10,8 +10,8 @@
 //!    (`KishuSession::live_blobs`). A physical blob is live iff some
 //!    tenant's live mapping references it. Requiring every tenant to appear
 //!    makes "I forgot a session" a hard error instead of silent data loss.
-//! 2. **Sweep** — each shard is compacted into a new generation containing
-//!    only live payloads (renumbered densely); tenant mappings are
+//! 2. **Sweep** — the payload log is compacted into a new generation
+//!    containing only live payloads (renumbered densely); tenant mappings are
 //!    rewritten against the new indices, with reclaimed ids tombstoned so
 //!    tenant ids stay dense forever.
 //! 3. **Commit** — for a file-backed store, all new-generation files are
@@ -22,31 +22,30 @@
 //!    [`SharedStore::set_crash_after_bytes`] hook exists precisely to prove
 //!    this at every byte.
 //!
-//! GC is **stop-the-world between checkpoints**: it holds the store's meta
-//! lock and every shard lock for its whole run, so it cannot interleave
-//! with tenant operations; callers run it when their sessions are parked
+//! GC is **stop-the-world between checkpoints**: it holds the store's one
+//! state borrow for its whole run, so it cannot interleave with tenant
+//! operations; callers run it when their sessions are parked
 //! (which is also when live sets are well-defined). It is a pure space
 //! optimization — after a collection, every live blob of every tenant reads
 //! back byte-identically under the same tenant id.
 //!
-//! Compaction re-images a shard by putting its survivors, in order, into a
-//! fresh in-memory record log under the store's chunk configuration. An
-//! in-memory store adopts that log as the shard; a file-backed one writes
-//! its bytes as the next generation's shard file and reopens it, so both
-//! backends end up with byte-identical shard logs.
+//! Compaction re-images the payload log by putting its survivors, in
+//! order, into a fresh in-memory record log under the store's chunk
+//! configuration. An in-memory store adopts that log; a file-backed one
+//! writes its bytes as the next generation's payload file and reopens it,
+//! so both backends end up with byte-identical payload logs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
 use kishu_testkit::json::Json;
 
 use crate::chunk::ChunkConfig;
-use crate::dedup::content_key;
 use crate::file_store::FileStore;
 use crate::shared::{
-    commit_manifest, encode_mapping, file_log, manifest_json, memory_log, remove_stale_generations,
-    shard_path, tenant_path, Backend, Phys,
+    commit_manifest, encode_mapping, file_log, index_payloads, manifest_json, memory_log,
+    payload_path, remove_stale_generations, tenant_path, Backend, Mapping,
 };
 use crate::{BlobId, CheckpointStore, SharedStore};
 
@@ -133,18 +132,17 @@ impl SharedStore {
     /// untouched; a file-backed store additionally survives a kill at any
     /// byte of the commit (see the module docs).
     pub fn collect(&self, live: &BTreeMap<String, BTreeSet<BlobId>>) -> io::Result<GcReport> {
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        let mut shards: Vec<_> =
-            self.inner.shards.iter().map(|s| s.lock().expect("shard lock")).collect();
-        let physical_before: u64 = shards.iter().map(|sh| sh.store.stats().physical_bytes).sum();
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        let trace = st.trace.clone();
+        let physical_before = st.log.stats().physical_bytes;
 
         // ---- Mark ---------------------------------------------------
-        let mut new_refs: Vec<Vec<u64>> = shards.iter().map(|sh| vec![0u64; sh.refs.len()]).collect();
-        let mut new_mappings: BTreeMap<String, Vec<Option<(Phys, u64)>>> = BTreeMap::new();
+        let mut new_refs = vec![0u64; st.refs.len()];
+        let mut new_mappings: BTreeMap<String, Vec<Option<Mapping>>> = BTreeMap::new();
         {
             let mut sp = trace.span("gc.mark");
-            for name in meta.tenants.keys() {
+            for name in st.tenants.keys() {
                 if !live.contains_key(name) {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -153,68 +151,62 @@ impl SharedStore {
                 }
             }
             for name in live.keys() {
-                if !meta.tenants.contains_key(name) {
+                if !st.tenants.contains_key(name) {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
                         format!("gc live set names unregistered tenant {name:?}"),
                     ));
                 }
             }
-            for (name, t) in &meta.tenants {
+            for (name, t) in &st.tenants {
                 let keep = &live[name];
-                let mapped: Vec<Option<(Phys, u64)>> = t
+                let mapped: Vec<Option<Mapping>> = t
                     .blobs
                     .iter()
                     .enumerate()
-                    .map(|(id, m)| match m {
-                        Some((p, len)) if keep.contains(&(id as u64)) => {
-                            new_refs[p.shard as usize][p.idx as usize] += 1;
-                            Some((*p, *len))
+                    .map(|(id, m)| match *m {
+                        Some((idx, len)) if keep.contains(&(id as u64)) => {
+                            new_refs[idx as usize] += 1;
+                            Some((idx, len))
                         }
                         _ => None,
                     })
                     .collect();
                 new_mappings.insert(name.clone(), mapped);
             }
-            sp.arg("tenants", meta.tenants.len());
+            sp.arg("tenants", st.tenants.len());
         }
         trace.event(
             kishu_trace::Severity::Info,
             "gc",
             vec![
                 ("phase".into(), "mark".into()),
-                ("tenants".into(), meta.tenants.len().to_string()),
+                ("tenants".into(), st.tenants.len().to_string()),
             ],
         );
 
         // ---- Sweep --------------------------------------------------
-        // remap[shard][old idx] → new idx for survivors; kept payload bytes
-        // are read out now so the commit below is write-only.
-        let mut remap: Vec<Vec<Option<u32>>> = Vec::with_capacity(shards.len());
-        let mut kept: Vec<Vec<Vec<u8>>> = Vec::with_capacity(shards.len());
+        // remap[old idx] → new idx for survivors; kept payload bytes are
+        // read out now so the commit below is write-only.
+        let mut remap: Vec<Option<u32>> = Vec::with_capacity(new_refs.len());
+        let mut kept: Vec<Vec<u8>> = Vec::new();
         let mut report = GcReport { physical_before, ..GcReport::default() };
         {
             let mut sp = trace.span("gc.sweep");
-            for (i, sh) in shards.iter().enumerate() {
-                let mut shard_remap = Vec::with_capacity(sh.refs.len());
-                let mut shard_kept = Vec::new();
-                for (idx, &nref) in new_refs[i].iter().enumerate() {
-                    if nref > 0 {
-                        // A live blob that cannot be read back aborts the
-                        // collection before anything is mutated: GC must
-                        // never turn an injected read fault into data loss.
-                        let bytes = sh.store.get(idx as u64)?;
-                        shard_remap.push(Some(shard_kept.len() as u32));
-                        shard_kept.push(bytes);
-                        report.live_blobs += 1;
-                    } else {
-                        shard_remap.push(None);
-                        report.reclaimed_blobs += 1;
-                        report.reclaimed_payload_bytes += sh.lens[idx];
-                    }
+            for (idx, &nref) in new_refs.iter().enumerate() {
+                if nref > 0 {
+                    // A live blob that cannot be read back aborts the
+                    // collection before anything is mutated: GC must never
+                    // turn an injected read fault into data loss.
+                    let bytes = st.log.get(idx as u64)?;
+                    remap.push(Some(kept.len() as u32));
+                    kept.push(bytes);
+                    report.live_blobs += 1;
+                } else {
+                    remap.push(None);
+                    report.reclaimed_blobs += 1;
+                    report.reclaimed_payload_bytes += st.lens[idx];
                 }
-                remap.push(shard_remap);
-                kept.push(shard_kept);
             }
             sp.arg("live", report.live_blobs);
             sp.arg("reclaimed", report.reclaimed_blobs);
@@ -228,79 +220,56 @@ impl SharedStore {
                 ("reclaimed".into(), report.reclaimed_blobs.to_string()),
             ],
         );
-        for mappings in new_mappings.values_mut() {
-            for m in mappings.iter_mut().flatten() {
-                let p = &mut m.0;
-                p.idx = remap[p.shard as usize][p.idx as usize]
-                    .expect("marked blob survived the sweep");
-            }
+        for (idx, _) in new_mappings.values_mut().flat_map(|ms| ms.iter_mut().flatten()) {
+            *idx = remap[*idx as usize].expect("marked blob survived the sweep");
         }
 
         // ---- Commit -------------------------------------------------
         let mut sp = trace.span("gc.commit");
-        let next_gen = meta.generation + 1;
+        let next_gen = st.generation + 1;
         sp.arg("generation", next_gen);
-        // Re-image every shard: its survivors, in order, put into a fresh
-        // in-memory log under the store's chunk configuration (chunked
-        // blobs stay chunked, one ledger across the shard keeps cross-blob
-        // dedup, and reclaimed chunk bytes leave the log).
-        let mut images = Vec::with_capacity(kept.len());
-        for shard_kept in &kept {
-            let mut image = memory_log(self.inner.chunk.clone());
-            for bytes in shard_kept {
-                image.put(bytes)?;
-            }
-            images.push(image);
+        // Re-image the payload log: its survivors, in order, put into a
+        // fresh in-memory log under the store's chunk configuration
+        // (chunked blobs stay chunked, one ledger keeps cross-blob dedup,
+        // and reclaimed chunk bytes leave the log).
+        let mut image = memory_log(st.chunk.clone());
+        for bytes in &kept {
+            image.put(bytes)?;
         }
-        match &self.inner.backend {
-            Backend::Memory => {
-                for (sh, image) in shards.iter_mut().zip(images) {
-                    sh.store = image;
-                }
-            }
+        match &st.backend {
+            Backend::Memory => st.log = image,
             Backend::File { dir } => {
-                let mut budget = self.inner.crash_after.lock().expect("crash lock");
-                for (i, image) in images.iter().enumerate() {
-                    write_budgeted(&shard_path(dir, i, next_gen), &image.image()?, &mut budget)?;
-                }
+                let budget = &mut st.crash_after;
+                write_budgeted(&payload_path(dir, next_gen), &image.image()?, budget)?;
                 for (name, mappings) in &new_mappings {
                     let mut log = memory_log(ChunkConfig::disabled());
                     for m in mappings {
                         log.put(&encode_mapping(*m))?;
                     }
-                    write_budgeted(&tenant_path(dir, name, next_gen), &log.image()?, &mut budget)?;
+                    write_budgeted(&tenant_path(dir, name, next_gen), &log.image()?, budget)?;
                 }
-                let names: Vec<&str> = meta.tenants.keys().map(String::as_str).collect();
-                commit_manifest(dir, &manifest_json(&self.inner, next_gen, &names), &mut budget)?;
+                let names: Vec<&str> = st.tenants.keys().map(String::as_str).collect();
+                commit_manifest(dir, &manifest_json(&st.chunk, next_gen, &names), budget)?;
                 // Committed. Swap the in-memory state over to the new
                 // generation; failures past this point must not un-commit,
                 // so reopen errors propagate but the manifest stays.
-                for (i, sh) in shards.iter_mut().enumerate() {
-                    sh.store = file_log(&shard_path(dir, i, next_gen), self.inner.chunk.clone())?;
-                }
-                for (name, t) in meta.tenants.iter_mut() {
+                st.log = file_log(&payload_path(dir, next_gen), st.chunk.clone())?;
+                for (name, t) in st.tenants.iter_mut() {
                     t.log = Some(FileStore::open(tenant_path(dir, name, next_gen))?);
                 }
                 remove_stale_generations(dir, next_gen);
             }
         }
-        for (i, sh) in shards.iter_mut().enumerate() {
-            let mut dedup = HashMap::new();
-            for (idx, bytes) in kept[i].iter().enumerate() {
-                dedup.entry(content_key(bytes)).or_insert(idx as u32);
-            }
-            sh.dedup = dedup;
-            sh.lens = kept[i].iter().map(|b| b.len() as u64).collect();
-            sh.refs = new_refs[i].iter().copied().filter(|&r| r > 0).collect();
-        }
-        for (name, t) in meta.tenants.iter_mut() {
+        (st.dedup, st.lens) = index_payloads(kept.iter().map(Some));
+        st.refs = new_refs.into_iter().filter(|&r| r > 0).collect();
+        for (name, t) in st.tenants.iter_mut() {
             let mappings = new_mappings.remove(name).expect("mapping built in mark");
             t.payload_bytes = mappings.iter().flatten().map(|(_, len)| len).sum();
             t.blobs = mappings;
         }
-        meta.generation = next_gen;
+        st.generation = next_gen;
         report.generation = next_gen;
-        report.physical_after = shards.iter().map(|sh| sh.store.stats().physical_bytes).sum();
+        report.physical_after = st.log.stats().physical_bytes;
         trace.event(
             kishu_trace::Severity::Info,
             "gc",
@@ -333,7 +302,7 @@ mod tests {
 
     #[test]
     fn unreferenced_blobs_are_fully_reclaimed() {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("a").expect("tenant");
         let mut b = store.tenant("b").expect("tenant");
         a.put(b"a's live payload").expect("put"); // a/0: live
@@ -361,7 +330,7 @@ mod tests {
 
     #[test]
     fn gc_never_reclaims_a_blob_any_tenant_reaches() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("a").expect("tenant");
         let mut b = store.tenant("b").expect("tenant");
         let shared = vec![7u8; 2000];
@@ -380,7 +349,7 @@ mod tests {
 
     #[test]
     fn live_sets_must_cover_every_tenant_exactly() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("a").expect("tenant");
         store.tenant("b").expect("tenant");
         a.put(b"x").expect("put");
@@ -399,7 +368,7 @@ mod tests {
     fn file_backed_gc_commits_a_new_generation_and_reopens() {
         let dir = temp_dir("commit");
         {
-            let store = SharedStore::create(&dir, 3).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("a").expect("tenant");
             for i in 0..20u32 {
                 a.put(format!("payload {i} {}", "x".repeat(50)).as_bytes()).expect("put");
@@ -454,7 +423,7 @@ mod tests {
     #[test]
     fn file_gc_preserves_chunk_dedup_and_reclaims_chunk_bytes() {
         let dir = temp_dir("v2-framing");
-        let store = SharedStore::create_with(&dir, 1, ChunkConfig::default())
+        let store = SharedStore::create_with(&dir, ChunkConfig::default())
             .expect("create");
         let mut a = store.tenant("a").expect("tenant");
         // Three near-duplicates (almost all chunks shared) plus one
@@ -513,7 +482,7 @@ mod tests {
     /// re-reading the environment).
     #[test]
     fn memory_gc_preserves_pinned_chunk_config() {
-        let store = SharedStore::in_memory_with(1, ChunkConfig::default());
+        let store = SharedStore::in_memory_with(ChunkConfig::default());
         let mut a = store.tenant("a").expect("tenant");
         for tweak in [0u8, 0x11] {
             a.put(&chunky_payload(tweak)).expect("put");
@@ -532,14 +501,14 @@ mod tests {
         store.check_invariants(true).expect("invariants");
     }
 
-    /// One engine: GC re-images a shard the same way on both backends, so
-    /// identical puts and live sets leave byte-identical shard logs.
+    /// One engine: GC re-images the payload log the same way on both
+    /// backends, so identical puts and live sets leave byte-identical logs.
     #[test]
-    fn memory_and_file_gc_leave_identical_shard_logs() {
+    fn memory_and_file_gc_leave_identical_payload_logs() {
         let dir = temp_dir("twin");
         for cfg in [ChunkConfig::default(), ChunkConfig::disabled()] {
-            let mem = SharedStore::in_memory_with(1, cfg.clone());
-            let file = SharedStore::create_with(&dir, 1, cfg).expect("create");
+            let mem = SharedStore::in_memory_with(cfg.clone());
+            let file = SharedStore::create_with(&dir, cfg).expect("create");
             for store in [&mem, &file] {
                 let mut a = store.tenant("a").expect("tenant");
                 for tweak in [0u8, 0x11, 0x22] {
@@ -549,13 +518,11 @@ mod tests {
                 a.put(b"garbage").expect("put");
                 store.collect(&live(&[("a", &[0, 2, 3])])).expect("gc");
             }
-            let shard_log = |s: &SharedStore| {
-                s.inner.shards[0].lock().expect("shard lock").store.image().expect("image")
-            };
-            let bytes = shard_log(&mem);
+            let payload_log = |s: &SharedStore| s.inner.borrow().log.image().expect("image");
+            let bytes = payload_log(&mem);
             assert!(!bytes.is_empty());
-            assert_eq!(bytes, shard_log(&file), "shard logs diverged after GC");
-            assert_eq!(bytes, std::fs::read(shard_path(&dir, 0, 1)).expect("read"));
+            assert_eq!(bytes, payload_log(&file), "payload logs diverged after GC");
+            assert_eq!(bytes, std::fs::read(payload_path(&dir, 1)).expect("read"));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -563,7 +530,7 @@ mod tests {
     #[test]
     fn crash_budget_zero_aborts_before_any_commit() {
         let dir = temp_dir("crash0");
-        let store = SharedStore::create(&dir, 2).expect("create");
+        let store = SharedStore::create(&dir).expect("create");
         let mut a = store.tenant("a").expect("tenant");
         a.put(b"keep me").expect("put");
         a.put(b"reclaim me").expect("put");
@@ -583,7 +550,7 @@ mod tests {
 
     #[test]
     fn gc_spans_cover_every_phase() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let trace = kishu_trace::Trace::enabled();
         store.attach_trace(&trace);
         let mut a = store.tenant("a").expect("tenant");

@@ -27,9 +27,9 @@
 //!   checkout payloads keyed by the same content keys, so undo/redo
 //!   time-travel over the same states becomes memory-speed;
 //! * [`SharedStore`] — the multi-tenant deployment: store-wide
-//!   content-addressed dedup with refcounting, a blob log sharded by
-//!   content-key prefix, and observationally private per-tenant
-//!   [`TenantHandle`] views ([`shared`] module docs);
+//!   content-addressed dedup with refcounting over one payload log, and
+//!   observationally private per-tenant [`TenantHandle`] views ([`shared`]
+//!   module docs);
 //! * [`gc`] — stop-the-world mark-and-sweep compaction over a shared
 //!   store, committing new generations crash-consistently via an atomic
 //!   manifest rename.
@@ -55,7 +55,7 @@ pub use fault_store::{
 };
 pub use file_store::FileStore;
 pub use memory_store::MemoryStore;
-pub use shared::{SharedStore, TenantHandle, TenantOpStats, DEFAULT_SHARDS};
+pub use shared::{SharedStore, TenantHandle, TenantOpStats};
 
 use std::io;
 

@@ -10,59 +10,67 @@
 //!   tenant land in the store once and are refcounted. Dedup here is
 //!   load-bearing (unlike the advisory per-session [`crate::BlobIndex`]):
 //!   a repeat write increments a refcount instead of appending.
-//! * **Sharded blob log** — payloads are routed to one of N shards by
-//!   content-key prefix, each with its own ordered writer behind its own
-//!   lock, so concurrent sessions stop serializing on a single file lock.
-//!   One tenant's writes stay in-order per shard, and since a tenant's
-//!   blob ids are assigned by its own dense counter, the per-session
-//!   serial-oracle invariant survives.
+//! * **One payload log** — every tenant's payloads go to one ordered
+//!   record log ([`crate::record_log`]; a byte buffer in memory, a file on
+//!   disk). A tenant's blob ids are assigned by its own dense counter, so
+//!   the per-session serial-oracle invariant survives interleaving.
 //! * **Per-tenant views** — [`SharedStore::tenant`] returns a
 //!   [`TenantHandle`] implementing [`CheckpointStore`] with *dense,
 //!   private blob ids*: tenant blob `k` is its `k`-th successful `put`,
 //!   exactly as on a private store. Gets resolve through the tenant's
-//!   mapping to physical `(shard, index)` pairs. Stats are logical
-//!   (physical bytes reported as payload bytes), so a session cannot
-//!   observe its neighbors through sizes either. The shared store is
-//!   **observationally private**: every read, id, size, and error a
-//!   tenant sees is byte-identical to running alone — the property
-//!   `tests/multi_tenant.rs` proves differentially.
-//! * **Chunk dedup under the id layer** — every shard is a record log
-//!   ([`crate::record_log`]; a byte buffer in memory, a file on disk)
-//!   running the storage-engine-v2 representation (content-defined chunking +
+//!   mapping to a payload index. Stats are logical (physical bytes
+//!   reported as payload bytes), so a session cannot observe its
+//!   neighbors through sizes either. The shared store is **observationally
+//!   private**: every read, id, size, and error a tenant sees is
+//!   byte-identical to running alone — the property `tests/multi_tenant.rs`
+//!   proves differentially.
+//! * **Chunk dedup under the id layer** — the payload log runs the
+//!   storage-engine-v2 representation (content-defined chunking +
 //!   per-chunk compression, [`crate::chunk`]), so two tenants' *distinct*
 //!   blobs that share most of their bytes (the same dataframe, one cell's
-//!   edit apart) share chunks physically. Chunk dedup scope is the shard:
-//!   blob-level routing sends whole payloads to one shard, so similar
-//!   payloads that route differently don't share chunks — an accepted
-//!   trade against cross-shard coordination on every chunk. Aggregate
+//!   edit apart) share chunks physically, anywhere in the store. Aggregate
 //!   counters: [`SharedStore::chunk_stats`]. The chunk configuration is
 //!   fixed at creation and recorded in the manifest, so `open` and GC keep
 //!   representing new puts the same way.
 //! * **GC** — see [`crate::gc`]: a stop-the-world mark-and-sweep pass over
-//!   caller-supplied live sets that compacts shards into a new generation
-//!   and commits via an atomic manifest rename, crash-consistent with
-//!   [`SharedStore::open`].
+//!   caller-supplied live sets that compacts the payload log into a new
+//!   generation and commits via an atomic manifest rename,
+//!   crash-consistent with [`SharedStore::open`].
+//!
+//! ## One thread, one borrow
+//!
+//! A store and its tenant handles share one state behind an
+//! `Rc<RefCell<_>>`, and every operation takes one borrow of it. The store
+//! is `!Send` — its payload log is a `Box<dyn Medium>`, and
+//! [`CheckpointStore`] is not `Send`-bounded — so the sessions sharing it
+//! all run on one thread (interleaved cell by cell, as `repro multi` and
+//! `tests/multi_tenant.rs` do), and no lock could ever be contended.
 //!
 //! ## File layout
 //!
 //! A file-backed store is a directory:
 //!
 //! ```text
-//! MANIFEST.json            {"schema","shards","generation","tenants","chunk"}
-//! shard-<i>.g<G>.log       payload log (FileStore framing), shard i, gen G
+//! MANIFEST.json            {"schema","shards":1,"generation","tenants","chunk"}
+//! shard-0.g<G>.log         payload log (FileStore framing), generation G
 //! tenant-<hex>.g<G>.log    mapping log: tenant blob k = k-th record
 //! ```
 //!
 //! Mapping records are `[1, shard: u32, idx: u32, len: u64]` (all LE) for a
 //! live mapping or `[0]` for a tombstone (a blob GC reclaimed; the id stays
-//! allocated so tenant ids remain dense forever). Everything outside the
-//! manifest is append-only between GCs; `open` rebuilds dedup maps and
-//! refcounts by scanning, so no index file can go stale.
+//! allocated so tenant ids remain dense forever). The names, the manifest's
+//! `"shards"` key and the mapping's `shard` field are kept from a format
+//! that allowed several payload logs: a store writes `"shards": 1`,
+//! `shard-0` and field `0`, and [`SharedStore::open`] rejects any other
+//! count (a mapping naming another log decodes as malformed). Everything
+//! outside the manifest is append-only between GCs; `open` rebuilds the
+//! dedup map and refcounts by scanning, so no index file can go stale.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use kishu_testkit::hash::xxh64;
 use kishu_testkit::json::Json;
@@ -78,75 +86,22 @@ use crate::{BlobId, CheckpointStore, StoreStats};
 /// Schema tag of `MANIFEST.json`.
 pub const SHARED_SCHEMA: &str = "kishu-shared-v1";
 
-/// The usual shard count for a shared store.
-pub const DEFAULT_SHARDS: usize = 4;
+/// The payload log, in memory or in a file.
+pub(crate) type PayloadLog = Log<Box<dyn Medium>>;
 
-/// Physical address of a stored payload: `(shard, index within shard)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Phys {
-    pub(crate) shard: u32,
-    pub(crate) idx: u32,
-}
-
-/// Which shard a content key routes to. A pure function, so a tenant's
-/// shard assignment for a payload never depends on its neighbors.
-///
-/// The full 64-bit hash is remixed with the splitmix64 finalizer and then
-/// reduced by multiply-shift. The original routing (`(hash >> 48) % n`)
-/// had two skews: it consulted only the top 16 hash bits, and the modulo
-/// was biased for non-power-of-two shard counts; both showed up as uneven
-/// shard loads. The finalizer spreads every input bit over the output and
-/// the multiply-shift reduction is bias-free for any `n`.
-///
-/// **Compat:** changing this function re-routes *future* puts only.
-/// Existing blobs are always read through their tenants' persisted
-/// `(shard, idx)` mappings — never by recomputing `shard_of` — so logs
-/// written under the old routing stay fully readable on `open`; the worst
-/// case is a payload stored on two shards (old copy + newly routed copy)
-/// until GC compacts, which costs space, never correctness.
-pub(crate) fn shard_of(key: ContentKey, nshards: usize) -> usize {
-    let mut z = key.0;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z as u128 * nshards.max(1) as u128) >> 64) as usize
-}
-
-/// A shard's payload log, in memory or in a file.
-pub(crate) type ShardLog = Log<Box<dyn Medium>>;
-
-/// An empty in-memory shard log.
-pub(crate) fn memory_log(cfg: ChunkConfig) -> ShardLog {
+/// An empty in-memory payload log.
+pub(crate) fn memory_log(cfg: ChunkConfig) -> PayloadLog {
     Log::recover(Box::new(Vec::<u8>::new()) as Box<dyn Medium>, cfg)
         .expect("an empty buffer always recovers")
 }
 
-/// The shard log in the file at `path`, recovered (or created empty).
-pub(crate) fn file_log(path: &Path, cfg: ChunkConfig) -> io::Result<ShardLog> {
+/// The payload log in the file at `path`, recovered (or created empty).
+pub(crate) fn file_log(path: &Path, cfg: ChunkConfig) -> io::Result<PayloadLog> {
     Log::recover(Box::new(open_file(path, !path.exists())?) as Box<dyn Medium>, cfg)
 }
 
-/// One shard: its ordered payload log plus the store-wide dedup index and
-/// refcounts for the contents that route here.
-pub(crate) struct ShardState {
-    pub(crate) store: ShardLog,
-    /// Content key → local index. Load-bearing (a hit suppresses a write),
-    /// safe because the key pairs a 64-bit hash with the exact length.
-    pub(crate) dedup: HashMap<ContentKey, u32>,
-    /// Live references per local blob, across all tenants. Only GC ever
-    /// decreases these (by recomputation, so they structurally cannot go
-    /// negative).
-    pub(crate) refs: Vec<u64>,
-    /// Payload length per local blob.
-    pub(crate) lens: Vec<u64>,
-}
-
-impl ShardState {
-    /// A shard over `store` with empty dedup index and refcounts.
-    fn new(store: ShardLog) -> Self {
-        ShardState { store, dedup: HashMap::new(), refs: Vec::new(), lens: Vec::new() }
-    }
-}
+/// A live tenant mapping: `(payload index, payload len)`.
+pub(crate) type Mapping = (u32, u64);
 
 /// Per-tenant operator counters: physical truth (dedup hits include
 /// cross-tenant sharing), so they live *below* the dense-id layer and are
@@ -168,11 +123,11 @@ pub struct TenantOpStats {
     pub syncs: u64,
 }
 
-/// One tenant's view state: its dense id → physical mapping.
+/// One tenant's view state: its dense id → payload mapping.
 pub(crate) struct TenantState {
-    /// Tenant blob `k` ↦ `(phys, payload len)`, or `None` once reclaimed
-    /// (ids stay dense forever; a reclaimed id reads as `NotFound`).
-    pub(crate) blobs: Vec<Option<(Phys, u64)>>,
+    /// Tenant blob `k` ↦ its mapping, or `None` once reclaimed (ids stay
+    /// dense forever; a reclaimed id reads as `NotFound`).
+    pub(crate) blobs: Vec<Option<Mapping>>,
     /// Cumulative payload bytes over live mappings (what a private store
     /// would report after the same puts).
     pub(crate) payload_bytes: u64,
@@ -182,51 +137,55 @@ pub(crate) struct TenantState {
     pub(crate) ops: TenantOpStats,
 }
 
-/// Registry + generation behind one lock: lock ordering everywhere is
-/// meta before shard, and `put` never holds both at once.
-pub(crate) struct Meta {
-    pub(crate) tenants: BTreeMap<String, TenantState>,
-    pub(crate) generation: u64,
-}
-
 pub(crate) enum Backend {
     Memory,
     File { dir: PathBuf },
 }
 
+/// Everything a store and its tenant handles share.
 pub(crate) struct Inner {
     pub(crate) backend: Backend,
-    pub(crate) nshards: usize,
-    /// Representation of new puts on every shard, for the store's life.
+    /// Representation of new puts, for the store's life.
     pub(crate) chunk: ChunkConfig,
-    pub(crate) shards: Vec<Mutex<ShardState>>,
-    pub(crate) meta: Mutex<Meta>,
-    pub(crate) trace: Mutex<Trace>,
+    /// Every tenant's payloads, each stored once.
+    pub(crate) log: PayloadLog,
+    /// Content key → payload index. Load-bearing (a hit suppresses a
+    /// write), safe because the key pairs a 64-bit hash with the exact
+    /// length.
+    pub(crate) dedup: HashMap<ContentKey, u32>,
+    /// Live references per payload, across all tenants. Only GC ever
+    /// decreases these (by recomputation, so they structurally cannot go
+    /// negative).
+    pub(crate) refs: Vec<u64>,
+    /// Length per payload.
+    pub(crate) lens: Vec<u64>,
+    pub(crate) tenants: BTreeMap<String, TenantState>,
+    pub(crate) generation: u64,
+    pub(crate) trace: Trace,
     /// GC crash-test hook: remaining byte budget for generation writes.
     /// `None` = unlimited. See [`SharedStore::set_crash_after_bytes`].
-    pub(crate) crash_after: Mutex<Option<u64>>,
+    pub(crate) crash_after: Option<u64>,
 }
 
-/// A multi-tenant, store-wide-deduplicating, sharded checkpoint store.
-/// Cheap to clone (a handle); see the module docs for the architecture.
+/// A multi-tenant, store-wide-deduplicating checkpoint store. Cheap to
+/// clone (a handle); see the module docs for the architecture.
 #[derive(Clone)]
 pub struct SharedStore {
-    pub(crate) inner: Arc<Inner>,
+    pub(crate) inner: Rc<RefCell<Inner>>,
 }
 
 impl std::fmt::Debug for SharedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let meta = self.inner.meta.lock().expect("meta lock");
+        let st = self.inner.borrow();
         f.debug_struct("SharedStore")
-            .field("shards", &self.inner.nshards)
-            .field("tenants", &meta.tenants.len())
-            .field("generation", &meta.generation)
+            .field("tenants", &st.tenants.len())
+            .field("generation", &st.generation)
             .finish()
     }
 }
 
-pub(crate) fn shard_path(dir: &Path, shard: usize, generation: u64) -> PathBuf {
-    dir.join(format!("shard-{shard}.g{generation}.log"))
+pub(crate) fn payload_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("shard-0.g{generation}.log"))
 }
 
 pub(crate) fn tenant_path(dir: &Path, name: &str, generation: u64) -> PathBuf {
@@ -238,13 +197,13 @@ pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
 }
 
 /// Serialize one mapping-log record.
-pub(crate) fn encode_mapping(m: Option<(Phys, u64)>) -> Vec<u8> {
+pub(crate) fn encode_mapping(m: Option<Mapping>) -> Vec<u8> {
     match m {
-        Some((p, len)) => {
+        Some((idx, len)) => {
             let mut v = Vec::with_capacity(17);
             v.push(1);
-            v.extend_from_slice(&p.shard.to_le_bytes());
-            v.extend_from_slice(&p.idx.to_le_bytes());
+            v.extend_from_slice(&0u32.to_le_bytes()); // shard field: always 0
+            v.extend_from_slice(&idx.to_le_bytes());
             v.extend_from_slice(&len.to_le_bytes());
             v
         }
@@ -252,24 +211,23 @@ pub(crate) fn encode_mapping(m: Option<(Phys, u64)>) -> Vec<u8> {
     }
 }
 
-/// Parse one mapping-log record; `None` if malformed (treated as a
-/// tombstone by recovery — degraded, never wrong bytes).
-fn decode_mapping(b: &[u8]) -> Option<(Phys, u64)> {
-    if b.len() != 17 || b[0] != 1 {
+/// Parse one mapping-log record; `None` if malformed, including a nonzero
+/// shard field (treated as a tombstone by recovery — degraded, never wrong
+/// bytes).
+fn decode_mapping(b: &[u8]) -> Option<Mapping> {
+    if b.len() != 17 || b[0] != 1 || b[1..5] != [0; 4] {
         return None;
     }
-    let shard = u32::from_le_bytes([b[1], b[2], b[3], b[4]]);
     let idx = u32::from_le_bytes([b[5], b[6], b[7], b[8]]);
     let len = u64::from_le_bytes([b[9], b[10], b[11], b[12], b[13], b[14], b[15], b[16]]);
-    Some((Phys { shard, idx }, len))
+    Some((idx, len))
 }
 
 /// Render the manifest JSON for the given state.
-pub(crate) fn manifest_json(inner: &Inner, generation: u64, tenants: &[&str]) -> Json {
-    let c = &inner.chunk;
+pub(crate) fn manifest_json(c: &ChunkConfig, generation: u64, tenants: &[&str]) -> Json {
     Json::obj(vec![
         ("schema", Json::Str(SHARED_SCHEMA.to_string())),
-        ("shards", Json::Int(inner.nshards as i64)),
+        ("shards", Json::Int(1)),
         ("generation", Json::Int(generation as i64)),
         (
             "tenants",
@@ -332,46 +290,54 @@ pub(crate) fn remove_stale_generations(dir: &Path, keep_gen: u64) {
     }
 }
 
-// `Inner` holds `Box<dyn CheckpointStore>` (the trait is not `Send`-bounded);
-// handles are cloned across sessions on one thread, and the `Arc` keeps the
-// sharing shape right for a future `Send`-bounded store trait.
-#[allow(clippy::arc_with_non_send_sync)]
+/// The dedup map and lengths over `payloads` in index order. The first
+/// writer of a content wins, matching `put`; an unreadable payload (`None`)
+/// keeps its slot (indices are positional) but is never deduplicated onto.
+pub(crate) fn index_payloads<B: AsRef<[u8]>>(
+    payloads: impl Iterator<Item = Option<B>>,
+) -> (HashMap<ContentKey, u32>, Vec<u64>) {
+    let mut dedup = HashMap::new();
+    let mut lens = Vec::new();
+    for (idx, p) in payloads.enumerate() {
+        match p {
+            Some(bytes) => {
+                dedup.entry(content_key(bytes.as_ref())).or_insert(idx as u32);
+                lens.push(bytes.as_ref().len() as u64);
+            }
+            None => lens.push(0),
+        }
+    }
+    (dedup, lens)
+}
+
 impl SharedStore {
-    /// Fresh in-memory shared store with `nshards` shards (clamped ≥ 1).
-    /// Shard chunking follows the `KISHU_CHUNKING` kill-switch; use
-    /// [`SharedStore::in_memory_with`] to pin it.
-    pub fn in_memory(nshards: usize) -> Self {
-        Self::in_memory_with(nshards, ChunkConfig::from_env())
+    /// Fresh in-memory shared store. Chunking follows the `KISHU_CHUNKING`
+    /// kill-switch; use [`SharedStore::in_memory_with`] to pin it.
+    pub fn in_memory() -> Self {
+        Self::in_memory_with(ChunkConfig::from_env())
     }
 
-    /// Fresh in-memory shared store with an explicit per-shard chunk
-    /// configuration (env-independent; what tests asserting chunk-layer
-    /// behaviour should use).
-    pub fn in_memory_with(nshards: usize, cfg: ChunkConfig) -> Self {
-        let nshards = nshards.max(1);
-        let shards = (0..nshards).map(|_| ShardState::new(memory_log(cfg.clone()))).collect();
-        Self::assemble(Backend::Memory, cfg, shards, BTreeMap::new(), 0)
+    /// Fresh in-memory shared store with an explicit chunk configuration
+    /// (env-independent; what tests asserting chunk-layer behaviour should
+    /// use).
+    pub fn in_memory_with(cfg: ChunkConfig) -> Self {
+        Self::assemble(Backend::Memory, memory_log(cfg.clone()), cfg, BTreeMap::new(), 0)
     }
 
     /// Create a fresh file-backed store in `dir` (wiping any store files
-    /// already there), with `nshards` shards at generation 0. Shard
-    /// chunking follows the `KISHU_CHUNKING` kill-switch; use
-    /// [`SharedStore::create_with`] to pin it.
-    pub fn create(dir: impl AsRef<Path>, nshards: usize) -> io::Result<Self> {
-        Self::create_with(dir, nshards, ChunkConfig::from_env())
+    /// already there) at generation 0. Chunking follows the
+    /// `KISHU_CHUNKING` kill-switch; use [`SharedStore::create_with`] to
+    /// pin it.
+    pub fn create(dir: impl AsRef<Path>) -> io::Result<Self> {
+        Self::create_with(dir, ChunkConfig::from_env())
     }
 
-    /// Create a fresh file-backed store with an explicit per-shard chunk
+    /// Create a fresh file-backed store with an explicit chunk
     /// configuration (env-independent; what tests asserting chunk-layer
     /// behaviour should use). The manifest records the configuration, so
     /// [`SharedStore::open`] and GC compaction keep it.
-    pub fn create_with(
-        dir: impl AsRef<Path>,
-        nshards: usize,
-        cfg: ChunkConfig,
-    ) -> io::Result<Self> {
+    pub fn create_with(dir: impl AsRef<Path>, cfg: ChunkConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
-        let nshards = nshards.max(1);
         std::fs::create_dir_all(dir)?;
         // Wipe every file of the store's naming scheme, any generation.
         for entry in std::fs::read_dir(dir)?.flatten() {
@@ -385,35 +351,36 @@ impl SharedStore {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
-        let shards = (0..nshards)
-            .map(|i| Ok(ShardState::new(file_log(&shard_path(dir, i, 0), cfg.clone())?)))
-            .collect::<io::Result<_>>()?;
+        let log = file_log(&payload_path(dir, 0), cfg.clone())?;
+        commit_manifest(dir, &manifest_json(&cfg, 0, &[]), &mut None)?;
         let backend = Backend::File { dir: dir.to_path_buf() };
-        let store = Self::assemble(backend, cfg, shards, BTreeMap::new(), 0);
-        commit_manifest(dir, &manifest_json(&store.inner, 0, &[]), &mut None)?;
-        Ok(store)
+        Ok(Self::assemble(backend, log, cfg, BTreeMap::new(), 0))
     }
 
     /// Open an existing file-backed store, recovering from whatever a crash
-    /// left behind: the manifest names the committed generation; shard and
-    /// mapping logs recover their torn tails; dedup maps and refcounts are
-    /// rebuilt by scanning; files from uncommitted generations are swept
-    /// away. New puts use the chunk configuration the manifest records (a
-    /// manifest without one gets [`ChunkConfig::from_env`]).
+    /// left behind: the manifest names the committed generation; payload
+    /// and mapping logs recover their torn tails; the dedup map and
+    /// refcounts are rebuilt by scanning; files from uncommitted
+    /// generations are swept away. New puts use the chunk configuration
+    /// the manifest records (a manifest without one gets
+    /// [`ChunkConfig::from_env`]).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
-        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         let text = std::fs::read_to_string(manifest_path(dir))?;
-        let j = Json::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {e:?}")))?;
+        let j = Json::parse(&text).map_err(|e| invalid(format!("manifest: {e:?}")))?;
         if j.get("schema").and_then(Json::as_str) != Some(SHARED_SCHEMA) {
-            return Err(invalid("unknown manifest schema"));
+            return Err(invalid("unknown manifest schema".into()));
         }
-        let nshards = j
-            .get("shards")
-            .and_then(Json::as_i64)
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| invalid("manifest shard count"))? as usize;
+        match j.get("shards").and_then(Json::as_i64) {
+            Some(1) => {}
+            Some(n) => {
+                return Err(invalid(format!(
+                    "manifest names {n} shards; this store reads only a single payload log"
+                )))
+            }
+            None => return Err(invalid("manifest shard count".into())),
+        }
         let generation = j.get("generation").and_then(Json::as_i64).unwrap_or(0) as u64;
         let tenant_names: Vec<String> = j
             .get("tenants")
@@ -422,161 +389,120 @@ impl SharedStore {
             .unwrap_or_default();
         let chunk = match j.get("chunk") {
             None => ChunkConfig::from_env(),
-            Some(c) => manifest_chunk(c).ok_or_else(|| invalid("manifest chunk config"))?,
+            Some(c) => manifest_chunk(c).ok_or_else(|| invalid("manifest chunk config".into()))?,
         };
         remove_stale_generations(dir, generation);
 
-        let mut shards = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let mut sh = ShardState::new(file_log(&shard_path(dir, i, generation), chunk.clone())?);
-            let count = sh.store.blob_count();
-            for idx in 0..count {
-                match sh.store.get(idx) {
-                    Ok(bytes) => {
-                        // First writer wins, matching put's behavior.
-                        sh.dedup.entry(content_key(&bytes)).or_insert(idx as u32);
-                        sh.lens.push(bytes.len() as u64);
-                    }
-                    // Unreadable payload: keep the slot (ids are positional)
-                    // but never dedup onto it.
-                    Err(_) => sh.lens.push(0),
-                }
-            }
-            sh.refs = vec![0; count as usize];
-            shards.push(sh);
-        }
-
+        let log = file_log(&payload_path(dir, generation), chunk.clone())?;
         let mut tenants = BTreeMap::new();
         for name in tenant_names {
             let path = tenant_path(dir, &name, generation);
-            let log = if path.exists() { FileStore::open(&path)? } else { FileStore::create(&path)? };
+            let mapping_log =
+                if path.exists() { FileStore::open(&path)? } else { FileStore::create(&path)? };
             let mut blobs = Vec::new();
-            let mut payload_bytes = 0u64;
-            for rec in 0..log.blob_count() {
-                let bytes = log.get(rec)?;
-                // A mapping may outrun its payload if the shard log lost a
-                // tail the mapping log kept: degrade to a tombstone.
-                let mapping = decode_mapping(&bytes).filter(|(p, _)| {
-                    let sh = shards.get(p.shard as usize);
-                    sh.is_some_and(|sh| (p.idx as u64) < sh.store.blob_count())
-                });
-                if let Some((p, len)) = mapping {
-                    shards[p.shard as usize].refs[p.idx as usize] += 1;
-                    payload_bytes += len;
-                }
-                blobs.push(mapping);
+            for rec in 0..mapping_log.blob_count() {
+                // A mapping may outrun its payload if the payload log lost
+                // a tail the mapping log kept: degrade to a tombstone.
+                let m = decode_mapping(&mapping_log.get(rec)?)
+                    .filter(|&(idx, _)| (idx as u64) < log.blob_count());
+                blobs.push(m);
             }
-            tenants.insert(
-                name,
-                TenantState { blobs, payload_bytes, log: Some(log), ops: TenantOpStats::default() },
-            );
+            let payload_bytes = blobs.iter().flatten().map(|&(_, len)| len).sum();
+            let ops = TenantOpStats::default();
+            tenants.insert(name, TenantState { blobs, payload_bytes, log: Some(mapping_log), ops });
         }
         let backend = Backend::File { dir: dir.to_path_buf() };
-        Ok(Self::assemble(backend, chunk, shards, tenants, generation))
+        Ok(Self::assemble(backend, log, chunk, tenants, generation))
     }
 
-    /// A store handle over the given parts.
+    /// A store handle over the given parts, its dedup map and lengths
+    /// rebuilt by scanning `log` and its refcounts by counting the
+    /// tenants' mappings (which must all be in range).
     fn assemble(
         backend: Backend,
+        log: PayloadLog,
         chunk: ChunkConfig,
-        shards: Vec<ShardState>,
         tenants: BTreeMap<String, TenantState>,
         generation: u64,
     ) -> Self {
-        SharedStore {
-            inner: Arc::new(Inner {
-                backend,
-                nshards: shards.len(),
-                chunk,
-                shards: shards.into_iter().map(Mutex::new).collect(),
-                meta: Mutex::new(Meta { tenants, generation }),
-                trace: Mutex::new(Trace::disabled()),
-                crash_after: Mutex::new(None),
-            }),
+        let (dedup, lens) = index_payloads((0..log.blob_count()).map(|idx| log.get(idx).ok()));
+        let mut refs = vec![0u64; lens.len()];
+        for t in tenants.values() {
+            for &(idx, _) in t.blobs.iter().flatten() {
+                refs[idx as usize] += 1;
+            }
         }
+        let inner = Inner {
+            backend,
+            chunk,
+            log,
+            dedup,
+            refs,
+            lens,
+            tenants,
+            generation,
+            trace: Trace::disabled(),
+            crash_after: None,
+        };
+        SharedStore { inner: Rc::new(RefCell::new(inner)) }
     }
 
     /// The tenant view named `name`, registering it (durably, for a
     /// file-backed store) on first use. Tenant blob ids are dense and
     /// private to the view; see the module docs for the privacy contract.
     pub fn tenant(&self, name: &str) -> io::Result<TenantHandle> {
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        if !meta.tenants.contains_key(name) {
-            let log = match &self.inner.backend {
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        if !st.tenants.contains_key(name) {
+            let log = match &st.backend {
                 Backend::Memory => None,
                 Backend::File { dir } => {
-                    Some(FileStore::create(tenant_path(dir, name, meta.generation))?)
+                    Some(FileStore::create(tenant_path(dir, name, st.generation))?)
                 }
             };
-            meta.tenants.insert(
+            st.tenants.insert(
                 name.to_string(),
                 TenantState { blobs: Vec::new(), payload_bytes: 0, log, ops: TenantOpStats::default() },
             );
-            if let Backend::File { dir } = &self.inner.backend {
-                let names: Vec<&str> = meta.tenants.keys().map(String::as_str).collect();
-                let manifest = manifest_json(&self.inner, meta.generation, &names);
-                commit_manifest(dir, &manifest, &mut None)?;
+            if let Backend::File { dir } = &st.backend {
+                let names: Vec<&str> = st.tenants.keys().map(String::as_str).collect();
+                commit_manifest(dir, &manifest_json(&st.chunk, st.generation, &names), &mut None)?;
             }
         }
-        Ok(TenantHandle { inner: Arc::clone(&self.inner), name: name.to_string() })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.nshards
+        Ok(TenantHandle { inner: Rc::clone(&self.inner), name: name.to_string() })
     }
 
     /// Current GC generation (0 until the first collection commits).
     pub fn generation(&self) -> u64 {
-        self.inner.meta.lock().expect("meta lock").generation
+        self.inner.borrow().generation
     }
 
     /// Registered tenant names, sorted.
     pub fn tenant_names(&self) -> Vec<String> {
-        self.inner.meta.lock().expect("meta lock").tenants.keys().cloned().collect()
+        self.inner.borrow().tenants.keys().cloned().collect()
     }
 
-    /// True aggregate storage accounting across all shards — what the
-    /// shared deployment actually costs, as opposed to the logical view
-    /// each [`TenantHandle::stats`] reports.
+    /// True storage accounting of the payload log — what the shared
+    /// deployment actually costs, as opposed to the logical view each
+    /// [`TenantHandle::stats`] reports.
     pub fn stats(&self) -> StoreStats {
-        let mut total = StoreStats::default();
-        for shard in &self.inner.shards {
-            let st = shard.lock().expect("shard lock").store.stats();
-            total.blobs += st.blobs;
-            total.payload_bytes += st.payload_bytes;
-            total.physical_bytes += st.physical_bytes;
-        }
-        total
+        self.inner.borrow().log.stats()
     }
 
-    /// Aggregate chunk-level accounting across all shards, for shards
-    /// running the v2 chunked representation. `None` when no shard has a
-    /// chunk layer. Like [`SharedStore::stats`], this is the operator's
-    /// view — tenant handles never expose chunk counters (their
+    /// Chunk-level accounting of the payload log; `None` when it runs
+    /// without a chunk layer. Like [`SharedStore::stats`], this is the
+    /// operator's view — tenant handles never expose chunk counters (their
     /// [`CheckpointStore::chunk_stats`] stays `None`), because physical
     /// chunk sharing is exactly the cross-tenant signal the privacy
     /// contract forbids leaking.
     pub fn chunk_stats(&self) -> Option<crate::ChunkStats> {
-        let mut total = crate::ChunkStats::default();
-        let mut any = false;
-        for shard in &self.inner.shards {
-            if let Some(cs) = shard.lock().expect("shard lock").store.chunk_stats() {
-                any = true;
-                total.chunks += cs.chunks;
-                total.chunk_refs += cs.chunk_refs;
-                total.raw_bytes += cs.raw_bytes;
-                total.stored_bytes += cs.stored_bytes;
-            }
-        }
-        any.then_some(total)
+        self.inner.borrow().log.chunk_stats()
     }
 
     /// Sum of every tenant's logical payload bytes (what N private stores
     /// would have stored).
     pub fn logical_payload_bytes(&self) -> u64 {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        meta.tenants.values().map(|t| t.payload_bytes).sum()
+        self.inner.borrow().tenants.values().map(|t| t.payload_bytes).sum()
     }
 
     /// Store-wide dedup ratio: logical bytes over physical payload bytes
@@ -596,17 +522,15 @@ impl SharedStore {
     /// store handle itself, below the id layer. In-memory accounting
     /// (resets on `open`).
     pub fn tenant_metrics(&self) -> BTreeMap<String, TenantOpStats> {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        meta.tenants.iter().map(|(k, t)| (k.clone(), t.ops)).collect()
+        self.inner.borrow().tenants.iter().map(|(k, t)| (k.clone(), t.ops)).collect()
     }
 
-    /// Attach an observability trace to the store and its shard backends.
+    /// Attach an observability trace to the store and its payload log.
     /// Purely observational, like every trace in this codebase.
     pub fn attach_trace(&self, trace: &Trace) {
-        *self.inner.trace.lock().expect("trace lock") = trace.clone();
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.attach_trace(trace);
-        }
+        let mut st = self.inner.borrow_mut();
+        st.trace = trace.clone();
+        st.log.attach_trace(trace);
     }
 
     /// Crash-test hook for GC: the next collection may write at most
@@ -615,16 +539,14 @@ impl SharedStore {
     /// collection aborts with `ErrorKind::Interrupted`, leaving the
     /// committed generation untouched. File backend only. `None` disables.
     pub fn set_crash_after_bytes(&self, budget: Option<u64>) {
-        *self.inner.crash_after.lock().expect("crash lock") = budget;
+        self.inner.borrow_mut().crash_after = budget;
     }
 
-    /// Sync every shard log and mapping log to the durable medium.
+    /// Sync the payload log and every mapping log to the durable medium.
     pub fn sync_all(&self) -> io::Result<()> {
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.sync()?;
-        }
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        for t in meta.tenants.values_mut() {
+        let mut st = self.inner.borrow_mut();
+        st.log.sync()?;
+        for t in st.tenants.values_mut() {
             if let Some(log) = &mut t.log {
                 log.sync()?;
             }
@@ -639,49 +561,37 @@ impl SharedStore {
     /// reachable from tenant mappings; dedup entries are in range. Returns
     /// a description of the first violation.
     pub fn check_invariants(&self, strict: bool) -> Result<(), String> {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        let mut recomputed: Vec<Vec<u64>> = Vec::with_capacity(self.inner.nshards);
-        for shard in &self.inner.shards {
-            recomputed.push(vec![0; shard.lock().expect("shard lock").refs.len()]);
+        let st = self.inner.borrow();
+        if st.refs.len() as u64 != st.log.blob_count() || st.lens.len() != st.refs.len() {
+            return Err("refs/lens len != blob count".to_string());
         }
-        for (name, t) in &meta.tenants {
+        let mut reachable = vec![0u64; st.refs.len()];
+        for (name, t) in &st.tenants {
             for (id, m) in t.blobs.iter().enumerate() {
-                let Some((p, len)) = m else { continue };
-                let counts = recomputed
-                    .get_mut(p.shard as usize)
-                    .ok_or_else(|| format!("{name}/{id}: shard {} out of range", p.shard))?;
-                let slot = counts
-                    .get_mut(p.idx as usize)
-                    .ok_or_else(|| format!("{name}/{id}: idx {} out of range", p.idx))?;
+                let Some((idx, len)) = *m else { continue };
+                let slot = reachable
+                    .get_mut(idx as usize)
+                    .ok_or_else(|| format!("{name}/{id}: idx {idx} out of range"))?;
                 *slot += 1;
-                let sh = self.inner.shards[p.shard as usize].lock().expect("shard lock");
-                if sh.lens[p.idx as usize] != *len {
+                if st.lens[idx as usize] != len {
                     return Err(format!(
                         "{name}/{id}: recorded len {len} != stored len {}",
-                        sh.lens[p.idx as usize]
+                        st.lens[idx as usize]
                     ));
                 }
             }
         }
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            let sh = shard.lock().expect("shard lock");
-            if sh.refs.len() as u64 != sh.store.blob_count() {
-                return Err(format!("shard {i}: refs len != blob count"));
+        for (idx, (&stored, &actual)) in st.refs.iter().zip(&reachable).enumerate() {
+            if strict && stored != actual {
+                return Err(format!("blob {idx}: refcount {stored} != {actual}"));
             }
-            for (idx, (&stored, &actual)) in sh.refs.iter().zip(&recomputed[i]).enumerate() {
-                if strict && stored != actual {
-                    return Err(format!("shard {i} blob {idx}: refcount {stored} != {actual}"));
-                }
-                if stored < actual {
-                    return Err(format!(
-                        "shard {i} blob {idx}: refcount {stored} below live references {actual}"
-                    ));
-                }
+            if stored < actual {
+                return Err(format!("blob {idx}: refcount {stored} below live references {actual}"));
             }
-            for (key, &idx) in &sh.dedup {
-                if idx as usize >= sh.refs.len() {
-                    return Err(format!("shard {i}: dedup entry {key:?} out of range"));
-                }
+        }
+        for (key, &idx) in &st.dedup {
+            if idx as usize >= st.refs.len() {
+                return Err(format!("dedup entry {key:?} out of range"));
             }
         }
         Ok(())
@@ -692,7 +602,7 @@ impl SharedStore {
 /// private blob ids; observationally identical to a private store.
 #[derive(Clone)]
 pub struct TenantHandle {
-    inner: Arc<Inner>,
+    inner: Rc<RefCell<Inner>>,
     name: String,
 }
 
@@ -709,54 +619,46 @@ impl std::fmt::Debug for TenantHandle {
     }
 }
 
+const REGISTERED: &str = "tenant registered by SharedStore::tenant";
+
 impl CheckpointStore for TenantHandle {
     fn put(&mut self, bytes: &[u8]) -> io::Result<BlobId> {
         let key = content_key(bytes);
-        let shard_i = shard_of(key, self.inner.nshards);
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let mut sp = trace.span("shared.put");
-        sp.arg("shard", shard_i);
+        let len = bytes.len() as u64;
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        let mut sp = st.trace.span("shared.put");
         sp.arg("bytes", bytes.len());
-        // Phase 1 under the shard lock only: dedup-or-append + refcount.
-        // The lock is released before the meta lock is taken, so `put`
-        // never holds two locks (no ordering edge against GC or `get`).
-        let (phys, fresh) = {
-            let mut sh = self.inner.shards[shard_i].lock().expect("shard lock");
-            match sh.dedup.get(&key).copied() {
-                Some(idx) => {
-                    sh.refs[idx as usize] += 1;
-                    (Phys { shard: shard_i as u32, idx }, false)
-                }
-                None => {
-                    let idx = sh.store.put(bytes)? as u32;
-                    sh.dedup.insert(key, idx);
-                    sh.refs.push(1);
-                    sh.lens.push(bytes.len() as u64);
-                    debug_assert_eq!(sh.refs.len() - 1, idx as usize);
-                    (Phys { shard: shard_i as u32, idx }, true)
-                }
+        // Dedup-or-append + refcount, then the dense tenant id and the
+        // mapping record.
+        let (idx, fresh) = match st.dedup.get(&key).copied() {
+            Some(idx) => {
+                st.refs[idx as usize] += 1;
+                (idx, false)
+            }
+            None => {
+                let idx = st.log.put(bytes)? as u32;
+                st.dedup.insert(key, idx);
+                st.refs.push(1);
+                st.lens.push(len);
+                debug_assert_eq!(st.refs.len() - 1, idx as usize);
+                (idx, true)
             }
         };
         sp.arg("dedup_hit", !fresh);
-        trace.observe("shared.put_bytes", bytes.len() as u64);
-        // Phase 2 under the meta lock: assign the dense tenant id and
-        // append the mapping record.
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        let t = meta.tenants.get_mut(&self.name).expect("tenant registered by SharedStore::tenant");
-        let len = bytes.len() as u64;
+        st.trace.observe("shared.put_bytes", len);
+        let t = st.tenants.get_mut(&self.name).expect(REGISTERED);
         if let Some(log) = &mut t.log {
-            if let Err(e) = log.put(&encode_mapping(Some((phys, len)))) {
+            if let Err(e) = log.put(&encode_mapping(Some((idx, len)))) {
                 // The mapping never existed, so the tenant id is not
-                // allocated; release the reference taken in phase 1 (a
-                // fresh payload stays in the shard at refcount 0 — dead
-                // weight the next GC reclaims, never a correctness issue).
-                drop(meta);
-                let mut sh = self.inner.shards[shard_i].lock().expect("shard lock");
-                sh.refs[phys.idx as usize] -= 1;
+                // allocated; release the reference taken above (a fresh
+                // payload stays in the log at refcount 0 — dead weight the
+                // next GC reclaims, never a correctness issue).
+                st.refs[idx as usize] -= 1;
                 return Err(e);
             }
         }
-        t.blobs.push(Some((phys, len)));
+        t.blobs.push(Some((idx, len)));
         t.payload_bytes += len;
         t.ops.puts += 1;
         t.ops.put_bytes += len;
@@ -770,33 +672,29 @@ impl CheckpointStore for TenantHandle {
         // Error shape matches MemoryStore so a tenant cannot tell the
         // difference between its view and a private store.
         let not_found = || io::Error::new(io::ErrorKind::NotFound, format!("no blob {id}"));
-        let (phys, _len) = {
-            let mut meta = self.inner.meta.lock().expect("meta lock");
-            let t = meta.tenants.get_mut(&self.name).expect("tenant registered");
-            // Counted before the lookup resolves: operator traffic
-            // accounting includes misses.
-            t.ops.gets += 1;
-            t.blobs.get(id as usize).copied().ok_or_else(not_found)?.ok_or_else(not_found)?
-        };
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let mut sp = trace.span("shared.get");
-        sp.arg("shard", phys.shard);
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        let t = st.tenants.get_mut(&self.name).expect(REGISTERED);
+        // Counted before the lookup resolves: operator traffic accounting
+        // includes misses.
+        t.ops.gets += 1;
+        let (idx, _len) =
+            t.blobs.get(id as usize).copied().ok_or_else(not_found)?.ok_or_else(not_found)?;
+        let mut sp = st.trace.span("shared.get");
         sp.arg("blob", id);
-        let sh = self.inner.shards[phys.shard as usize].lock().expect("shard lock");
-        sh.store.get(phys.idx as u64)
+        st.log.get(idx as u64)
     }
 
     fn blob_count(&self) -> u64 {
-        let meta = self.inner.meta.lock().expect("meta lock");
-        meta.tenants.get(&self.name).expect("tenant registered").blobs.len() as u64
+        self.inner.borrow().tenants.get(&self.name).expect(REGISTERED).blobs.len() as u64
     }
 
     fn stats(&self) -> StoreStats {
         // Logical accounting (physical bytes reported as payload bytes): a
         // tenant must not be able to observe its neighbors (or the dedup
         // they induce) through sizes. True physical usage lives on SharedStore::stats.
-        let meta = self.inner.meta.lock().expect("meta lock");
-        let t = meta.tenants.get(&self.name).expect("tenant registered");
+        let st = self.inner.borrow();
+        let t = st.tenants.get(&self.name).expect(REGISTERED);
         StoreStats {
             blobs: t.blobs.len() as u64,
             payload_bytes: t.payload_bytes,
@@ -805,13 +703,11 @@ impl CheckpointStore for TenantHandle {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let trace = self.inner.trace.lock().expect("trace lock").clone();
-        let _sp = trace.span("shared.sync");
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.sync()?;
-        }
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        let t = meta.tenants.get_mut(&self.name).expect("tenant registered");
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        let _sp = st.trace.span("shared.sync");
+        st.log.sync()?;
+        let t = st.tenants.get_mut(&self.name).expect(REGISTERED);
         t.ops.syncs += 1;
         if let Some(log) = &mut t.log {
             log.sync()?;
@@ -820,15 +716,14 @@ impl CheckpointStore for TenantHandle {
     }
 
     fn flush_barrier(&mut self) -> io::Result<()> {
-        // Group-commit barrier: drain every shard's pending buffer and the
-        // tenant's mapping log so a reopened store sees everything put so
-        // far. No fault draw and no per-put work — purely an ordering
+        // Group-commit barrier: drain the payload log's pending buffer and
+        // the tenant's mapping log so a reopened store sees everything put
+        // so far. No fault draw and no per-put work — purely an ordering
         // point, matching the trait contract.
-        for shard in &self.inner.shards {
-            shard.lock().expect("shard lock").store.flush_barrier()?;
-        }
-        let mut meta = self.inner.meta.lock().expect("meta lock");
-        if let Some(log) = &mut meta.tenants.get_mut(&self.name).expect("tenant registered").log {
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        st.log.flush_barrier()?;
+        if let Some(log) = &mut st.tenants.get_mut(&self.name).expect(REGISTERED).log {
             log.flush_barrier()?;
         }
         Ok(())
@@ -842,7 +737,7 @@ impl CheckpointStore for TenantHandle {
     // [`SharedStore::stats`] / [`SharedStore::chunk_stats`].
 
     fn attach_trace(&mut self, trace: &Trace) {
-        *self.inner.trace.lock().expect("trace lock") = trace.clone();
+        self.inner.borrow_mut().trace = trace.clone();
     }
 }
 
@@ -859,7 +754,7 @@ mod tests {
 
     #[test]
     fn tenant_ids_are_dense_and_private() {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         assert_eq!(a.put(b"shared bytes").expect("put"), 0);
@@ -875,7 +770,7 @@ mod tests {
 
     #[test]
     fn tenant_metrics_count_traffic_below_the_id_layer() {
-        let store = SharedStore::in_memory(2);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         a.put(b"shared payload").expect("put");
@@ -898,7 +793,7 @@ mod tests {
 
     #[test]
     fn cross_tenant_dedup_stores_identical_bytes_once() {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         let payload = vec![42u8; 10_000];
@@ -918,29 +813,10 @@ mod tests {
     }
 
     #[test]
-    fn payloads_spread_across_shards() {
-        let store = SharedStore::in_memory(4);
-        let mut t = store.tenant("t").expect("tenant");
-        for i in 0..64u32 {
-            t.put(format!("payload number {i}").as_bytes()).expect("put");
-        }
-        let occupied = store
-            .inner
-            .shards
-            .iter()
-            .filter(|s| s.lock().expect("lock").store.blob_count() > 0)
-            .count();
-        assert!(occupied > 1, "content-key prefix routing uses multiple shards");
-        for i in 0..64u64 {
-            assert_eq!(t.get(i).expect("get"), format!("payload number {i}").as_bytes());
-        }
-    }
-
-    #[test]
     fn file_backed_store_reopens_with_views_intact() {
         let dir = temp_dir("reopen");
         {
-            let store = SharedStore::create(&dir, 3).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("alice").expect("tenant");
             let mut b = store.tenant("bob").expect("tenant");
             a.put(b"common").expect("put");
@@ -970,7 +846,7 @@ mod tests {
     fn torn_mapping_tail_degrades_to_missing_blob() {
         let dir = temp_dir("torn-map");
         let tenant_log = {
-            let store = SharedStore::create(&dir, 2).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("alice").expect("tenant");
             a.put(b"first").expect("put");
             a.put(b"second").expect("put");
@@ -999,7 +875,7 @@ mod tests {
         let cfg = ChunkConfig { enabled: true, compress: true, min: 256, avg: 512, max: 2048 };
         let big: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();
         {
-            let store = SharedStore::create_with(&dir, 1, cfg.clone()).expect("create");
+            let store = SharedStore::create_with(&dir, cfg.clone()).expect("create");
             store.tenant("alice").expect("tenant").put(&big).expect("put");
             store.sync_all().expect("sync");
         }
@@ -1014,45 +890,17 @@ mod tests {
             after.chunk_refs - before.chunk_refs > written,
             "chunk dedup must fire after reopen: {before:?} -> {after:?}"
         );
-        assert_eq!(store.inner.chunk, cfg);
+        assert_eq!(store.inner.borrow().chunk, cfg);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn shard_routing_is_uniform_for_any_shard_count() {
-        // Regression for the original router, which consulted only the top
-        // 16 hash bits and reduced with a biased modulo: over real content
-        // keys some shards ran hot while others sat near-empty. With the
-        // remixed multiply-shift router, 10k distinct keys must land close
-        // to uniformly for small prime and non-prime shard counts alike.
-        let keys: Vec<ContentKey> =
-            (0..10_000u32).map(|i| content_key(format!("cell output #{i}").as_bytes())).collect();
-        for &n in &[3usize, 5, 7] {
-            let mut loads = vec![0u64; n];
-            for &k in &keys {
-                let s = shard_of(k, n);
-                assert!(s < n, "routing must stay in range");
-                loads[s] += 1;
-            }
-            let max = *loads.iter().max().expect("nonempty");
-            let min = *loads.iter().min().expect("nonempty");
-            assert!(min > 0, "n={n}: some shard got nothing: {loads:?}");
-            assert!(
-                (max as f64) / (min as f64) < 1.25,
-                "n={n}: shard load skew {loads:?} (max/min = {:.3})",
-                max as f64 / min as f64
-            );
-        }
-    }
-
-    #[test]
     fn shared_chunk_stats_aggregate_cross_tenant_chunk_dedup() {
-        // One shard so the two near-identical (different content key, hence
-        // possibly different shard) blobs land in the same chunk ledger —
-        // chunk dedup scope is the shard, see the module docs. Config is
-        // pinned so the `KISHU_CHUNKING=0` CI matrix leg can't turn the
+        // Chunk dedup spans the whole store, so two near-identical blobs
+        // (different content keys) share chunks. Config is pinned to the
+        // default so the `KISHU_CHUNKING=0` CI matrix leg can't turn the
         // layer off under the test.
-        let store = SharedStore::in_memory_with(1, ChunkConfig::default());
+        let store = SharedStore::in_memory_with(ChunkConfig::default());
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
         let big: Vec<u8> = (0..150_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();
@@ -1078,7 +926,7 @@ mod tests {
     fn tenant_flush_barrier_makes_puts_reopenable() {
         let dir = temp_dir("barrier");
         {
-            let store = SharedStore::create(&dir, 2).expect("create");
+            let store = SharedStore::create(&dir).expect("create");
             let mut a = store.tenant("alice").expect("tenant");
             a.put(b"barrier me").expect("put");
             a.flush_barrier().expect("barrier");
@@ -1094,10 +942,70 @@ mod tests {
 
     #[test]
     fn mapping_records_roundtrip() {
-        let m = Some((Phys { shard: 3, idx: 0x0102_0304 }, 0x1122_3344_5566_7788));
-        assert_eq!(decode_mapping(&encode_mapping(m)), m);
+        let m = Some((0x0102_0304, 0x1122_3344_5566_7788));
+        let rec = encode_mapping(m);
+        assert_eq!(rec.len(), 17);
+        assert_eq!(rec[1..5], [0; 4], "the shard field is always 0");
+        assert_eq!(decode_mapping(&rec), m);
         assert_eq!(encode_mapping(None), vec![0]);
         assert_eq!(decode_mapping(&[0]), None);
         assert_eq!(decode_mapping(b"garbage!!"), None);
+        // A mapping naming any other payload log is malformed.
+        let mut other = rec;
+        other[1] = 3;
+        assert_eq!(decode_mapping(&other), None);
+    }
+
+    /// The on-disk layout is pinned: a store with one payload log writes
+    /// exactly what a one-log store of the earlier multi-log format wrote
+    /// (the hashes were taken from that format's writer), so directories
+    /// from either open under the other.
+    #[test]
+    fn file_layout_is_pinned() {
+        let dir = temp_dir("layout");
+        let big: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8 ^ (i / 997) as u8).collect();
+        {
+            let store = SharedStore::create_with(&dir, ChunkConfig::default()).expect("create");
+            let mut a = store.tenant("alice").expect("tenant");
+            a.put(b"first payload").expect("put");
+            a.put(&big).expect("put");
+            store.sync_all().expect("sync");
+        }
+        let mut files: Vec<(String, usize, u64)> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| {
+                let bytes = std::fs::read(e.path()).expect("read");
+                (e.file_name().to_string_lossy().into_owned(), bytes.len(), xxh64(&bytes, 0))
+            })
+            .collect();
+        files.sort();
+        let pinned = [
+            ("MANIFEST.json", 149, 0xcb07_cd0e_3047_cd88),
+            ("shard-0.g0.log", 9143, 0x54e8_2ed0_ef36_0eee),
+            ("tenant-73a3ea485f2e6049.g0.log", 52, 0x5516_a11e_05c6_b4cf),
+        ];
+        let pinned: Vec<(String, usize, u64)> =
+            pinned.iter().map(|&(n, len, h)| (n.to_string(), len, h)).collect();
+        assert_eq!(files, pinned);
+        let store = SharedStore::open(&dir).expect("open");
+        let a = store.tenant("alice").expect("tenant");
+        assert_eq!(a.get(0).expect("get"), b"first payload");
+        assert_eq!(a.get(1).expect("get"), big);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_rejects_a_manifest_naming_several_payload_logs() {
+        let dir = temp_dir("four-logs");
+        SharedStore::create(&dir).expect("create").tenant("alice").expect("tenant");
+        let manifest = manifest_path(&dir);
+        let text = std::fs::read_to_string(&manifest).expect("read");
+        assert!(text.contains("\"shards\":1"), "{text}");
+        std::fs::write(&manifest, text.replace("\"shards\":1", "\"shards\":4")).expect("write");
+        let err = SharedStore::open(&dir).expect_err("four logs are not readable");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains('4'), "error names the count: {err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,8 +20,8 @@
 //!   on a pool worker). The hot path takes no locks per span; draining
 //!   takes one lock per batch.
 //! * [`SpanGuard::end`] always returns the measured duration — even on a
-//!   disabled handle — so report fields (`checkpoint_time`,
-//!   `CheckoutReport::wall_time`, per-phase nanosecond breakdowns) are
+//!   disabled handle — so report fields (`CellReport::ckpt_wall_ns`,
+//!   `CheckoutReport::co_wall_ns`, per-phase nanosecond breakdowns) are
 //!   *derived views over spans* rather than a second set of stopwatches.
 //!   There is exactly one clock read per phase boundary, tracing on or
 //!   off.

@@ -7,6 +7,8 @@
 //! cargo run --example path_exploration
 //! ```
 
+use std::time::Duration;
+
 use kishu::session::{KishuConfig, KishuSession};
 
 fn value(s: &mut KishuSession, expr: &str) -> String {
@@ -54,7 +56,7 @@ fn main() {
             "   -> branch {label}: loaded {} co-variable(s), {} identical untouched, {:?}",
             report.loaded.len(),
             report.identical,
-            report.wall_time
+            Duration::from_nanos(report.co_wall_ns)
         );
     }
 }

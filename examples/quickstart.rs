@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+use std::time::Duration;
+
 use kishu::session::{KishuConfig, KishuSession};
 
 fn main() {
@@ -51,7 +53,7 @@ fn main() {
         report.loaded.len(),
         report.bytes_loaded,
         report.identical,
-        report.wall_time
+        Duration::from_nanos(report.co_wall_ns)
     );
     run(&mut session, "print(len(df.columns))\n");
 

@@ -72,6 +72,13 @@ fi
 stage "cargo build --release --offline"
 cargo build --release --offline --workspace --benches
 
+# The repository benchmark (kishubench/) is a Cargo package of its own,
+# outside the workspace, so the build above never compiles it: an API
+# removal in a library crate could break it without failing anything
+# else here.
+stage "kishubench build (cargo build --release --offline, kishubench/Cargo.toml)"
+cargo build --release --offline --manifest-path kishubench/Cargo.toml
+
 if [ "$QUICK" = 1 ]; then
     stage "cargo test --offline (quick: single pass)"
     cargo test -q --offline --workspace
@@ -87,6 +94,9 @@ else
     stage "cargo test --offline (CHECKPOINT/RESTORE_WORKERS=4, parallel pipelines)"
     KISHU_CHECKPOINT_WORKERS=4 KISHU_RESTORE_WORKERS=4 \
         cargo test -q --offline --workspace
+
+    stage "kishubench tests (cargo test --offline, kishubench/Cargo.toml)"
+    cargo test -q --offline --manifest-path kishubench/Cargo.toml
 fi
 
 stage "bench smoke (KISHU_BENCH_QUICK=1, KISHU_TRACE -> target/trace.json)"

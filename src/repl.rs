@@ -2,6 +2,8 @@
 //! cells, watch them checkpoint, and time-travel with `%` commands (the
 //! paper's in-Jupyter Command Palette, §3.2, as a terminal).
 
+use std::time::Duration;
+
 use kishu::query::{DiffReport, VarChange};
 use kishu::session::{KishuConfig, KishuSession};
 use kishu::NodeId;
@@ -354,7 +356,7 @@ impl Repl {
                 report.recomputed.len(),
                 report.removed.len(),
                 report.identical,
-                report.wall_time
+                Duration::from_nanos(report.co_wall_ns)
             )],
             Err(e) => vec![format!("checkout failed: {e}")],
         }

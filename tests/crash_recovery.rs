@@ -343,7 +343,8 @@ fn corrupt_reads_fall_back_to_recomputation() {
 }
 
 /// Private temp *directory* per test process (the shared store is a
-/// directory of shard/tenant logs plus a manifest, not a single file).
+/// directory of a payload log, tenant logs and a manifest, not a single
+/// file).
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kishu-crash-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -386,7 +387,7 @@ fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
     let mut live: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
     let mut truths: Vec<TenantTruth> = Vec::new();
     {
-        let store = SharedStore::create(&base, 3).expect("create");
+        let store = SharedStore::create(&base).expect("create");
         let mut sessions: Vec<(&str, KishuSession)> = ["ana", "ben"]
             .iter()
             .map(|n| (*n, KishuSession::on_shared(&store, n, KishuConfig::default()).expect("tenant")))
@@ -439,7 +440,7 @@ fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
         + 1;
 
     // ---- Kill the compaction at byte budgets spanning the whole commit:
-    // the first bytes of the first shard file, both sides of every file
+    // the first bytes of the payload file, both sides of every file
     // boundary (a stride finer than the smallest file), the
     // fully-written-but-unrenamed manifest, and the commit itself.
     let mut cuts: Vec<u64> = (0..4).collect();

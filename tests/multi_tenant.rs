@@ -190,9 +190,8 @@ fn run_interleaved(
     base_seed: u64,
     n_cells: usize,
     workers: usize,
-    shards: usize,
 ) -> (Vec<Observation>, SharedStore) {
-    let store = SharedStore::in_memory(shards);
+    let store = SharedStore::in_memory();
     let scripts: Vec<Vec<String>> =
         (0..TENANTS.len()).map(|ti| tenant_cells(base_seed, ti, n_cells)).collect();
     let mut sessions: Vec<KishuSession> = TENANTS
@@ -248,29 +247,24 @@ fn run_interleaved(
 /// The headline differential: every tenant's observable world — store view,
 /// reports, stats, every restored namespace — is byte-identical solo on a
 /// private store vs interleaved with K=3 neighbors on the shared store, at
-/// 1 and 4 checkpoint/restore workers, for 1 and 4 shards.
+/// 1 and 4 checkpoint/restore workers.
 #[test]
 fn tenant_views_are_byte_identical_solo_vs_interleaved() {
     let base_seed = env_seed(0x5EED_7E4A);
     for workers in WORKER_COUNTS {
         let solo = run_solo(base_seed, 18, workers);
-        for shards in [1usize, 4] {
-            let (inter, store) = run_interleaved(base_seed, 18, workers, shards);
-            for (ti, name) in TENANTS.iter().enumerate() {
-                assert_eq!(
-                    solo[ti], inter[ti],
-                    "tenant {name} diverged at workers={workers} shards={shards}"
-                );
-            }
-            store.check_invariants(true).expect("refcount invariants");
-            // The interleaved runs share identical dataset cells, so the
-            // store-wide dedup must have found cross-tenant redundancy.
-            assert!(
-                store.dedup_ratio() > 1.0,
-                "common cells must dedup across tenants (ratio {})",
-                store.dedup_ratio()
-            );
+        let (inter, store) = run_interleaved(base_seed, 18, workers);
+        for (ti, name) in TENANTS.iter().enumerate() {
+            assert_eq!(solo[ti], inter[ti], "tenant {name} diverged at workers={workers}");
         }
+        store.check_invariants(true).expect("refcount invariants");
+        // The interleaved runs share identical dataset cells, so the
+        // store-wide dedup must have found cross-tenant redundancy.
+        assert!(
+            store.dedup_ratio() > 1.0,
+            "common cells must dedup across tenants (ratio {})",
+            store.dedup_ratio()
+        );
     }
 }
 
@@ -313,7 +307,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
         }
         // Interleaved: one shared store, one shared fault state, one
         // FaultStore twin per tenant wrapping that tenant's view.
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let base = FaultStore::scoped(
             Box::new(store.tenant(TENANTS[0]).expect("tenant")),
             plan.clone(),
@@ -360,7 +354,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
 #[test]
 fn gc_preserves_every_commit_of_every_session() {
     let base_seed = env_seed(0x6C_5EED);
-    let store = SharedStore::in_memory(4);
+    let store = SharedStore::in_memory();
     let mut sessions: Vec<KishuSession> = TENANTS
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))
@@ -424,7 +418,7 @@ fn gc_preserves_every_commit_of_every_session() {
 fn resume_through_a_tenant_view_is_isolation_blind() {
     let base_seed = env_seed(0x2E_5135);
     let run_and_resume = |neighbors: bool| -> (Vec<String>, BTreeMap<String, String>) {
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut sessions: Vec<(usize, KishuSession)> = Vec::new();
         for (ti, name) in TENANTS.iter().enumerate() {
             if ti == 0 || neighbors {
@@ -480,7 +474,7 @@ proptest! {
     ) {
         let scripts: Vec<Vec<String>> =
             (0..n_tenants).map(|ti| tenant_cells(seed, ti, ops.len())).collect();
-        let store = SharedStore::in_memory(4);
+        let store = SharedStore::in_memory();
         let mut shared: Vec<KishuSession> = (0..n_tenants)
             .map(|ti| KishuSession::on_shared(&store, TENANTS[ti], config(1)).expect("tenant"))
             .collect();
@@ -537,7 +531,7 @@ proptest! {
 /// hold.
 #[test]
 fn overlapping_datasets_dedup_beyond_the_acceptance_bar() {
-    let store = SharedStore::in_memory(4);
+    let store = SharedStore::in_memory();
     let mut sessions: Vec<KishuSession> = TENANTS
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))
