@@ -116,10 +116,6 @@ fn bench_state_diff(b: &mut Bench) {
             g.bench(&format!("lca_walk/{depth}"), || {
                 black_box(graph.lca(head, nodes[0]))
             });
-            let idx = graph.lca_index();
-            g.bench(&format!("lca_lifted/{depth}"), || {
-                black_box(idx.lca(head, nodes[0]))
-            });
         }
     });
 }

@@ -5,13 +5,16 @@
 //! repro table2|fig2|fig4|fig12|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs
 //! repro bench [--scale S] [--out FILE]        # bench-gate metrics JSON
 //! repro bench-compare BASELINE PR [--tolerance T]
+//! repro bench-gate                            # absolute floors/ceilings (kishu_bench::gate)
 //! repro trace [--scale S] [--out FILE]        # Chrome-trace export of the pipelines
 //! repro trace-validate FILE                   # CI smoke: parse + expected spans
 //! ```
 //!
-//! Every experiment honors `KISHU_TRACE=path`: when set, the process-global
-//! trace records spans across the session/pipeline/storage stack and a
-//! Perfetto-loadable Chrome trace is written to `path` on exit.
+//! Every experiment honors `KISHU_TRACE=path`: when set, `main` installs an
+//! enabled process-global trace (see [`kishu_bench::settings`]), which
+//! records spans across the session/pipeline/storage stack, and a
+//! Perfetto-loadable Chrome trace is written to `path` on exit. The same
+//! trace arms the crash black box (`target/flightrec/`).
 //!
 //! Outputs land under `target/` by default (`target/repro_output.txt`,
 //! `target/repro_results.json`, `target/BENCH_pr.json`) so a repro run
@@ -24,6 +27,7 @@ use kishu_bench::experiments::{
     sweeps, tracking, workload_tables,
 };
 use kishu_bench::report::Table;
+use kishu_bench::settings::Settings;
 use kishu_testkit::json::Json;
 
 struct Args {
@@ -69,6 +73,7 @@ fn parse_args() -> Args {
                     "usage: repro [all|table2|fig2|fig4|fig12|table4|table5|fig13|fig14|fig15|fig16|table6|fig17|table7|table8|fig18|fig19|faults|pipeline|restore|multi|chunks|interp|queries|obs]... [--scale S] [--json FILE]\n\
                             repro bench [--scale S] [--out FILE]\n\
                             repro bench-compare BASELINE PR [--tolerance T]\n\
+                            repro bench-gate\n\
                             repro trace [--scale S] [--out FILE]\n\
                             repro trace-validate FILE\n\
                      KISHU_TRACE=path exports a Chrome trace from any of the above"
@@ -103,17 +108,22 @@ fn write_file(path: &str, content: &str) {
         .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
 }
 
+/// Install an enabled process-global trace (and the crash black box on
+/// it). Runs before any experiment builds a session.
+fn install_trace(settings: &Settings) -> &'static kishu_trace::Trace {
+    let trace = kishu_trace::install_global(settings.trace());
+    kishu_trace::blackbox::install_panic_hook(trace);
+    trace
+}
+
 /// Export the process-global trace to the `KISHU_TRACE` path. No-op unless
-/// the environment enabled tracing — which is the behavior-freedom
-/// invariant: with `KISHU_TRACE` unset, nothing here runs and no session
-/// recorded a span.
-fn export_global_trace() {
+/// that variable enabled tracing — which is the behavior-freedom
+/// invariant: with `KISHU_TRACE` unset, no trace was installed and no
+/// session recorded a span.
+fn export_global_trace(settings: &Settings) {
     let trace = kishu_trace::global();
-    if !trace.is_enabled() {
-        return;
-    }
-    let Some(path) = kishu_trace::global_path() else { return };
-    write_file(&path, &(trace.chrome_json().dump() + "\n"));
+    let Some(path) = &settings.trace_path else { return };
+    write_file(path, &(trace.chrome_json().dump() + "\n"));
     eprintln!(
         "[repro] wrote {path} ({} spans) — load it at ui.perfetto.dev",
         trace.spans().len()
@@ -123,8 +133,8 @@ fn export_global_trace() {
 /// `repro trace`: run the representative write+read pipeline workloads with
 /// tracing force-enabled and export a Perfetto-loadable Chrome trace plus a
 /// human-readable summary.
-fn run_trace(args: &Args) -> ! {
-    let trace = kishu_trace::force_global_enabled();
+fn run_trace(args: &Args, settings: &Settings) -> ! {
+    let trace = install_trace(settings);
     let scale = if args.scale_set { args.scale } else { 0.1 };
     eprintln!("[repro] trace (scale {scale}) ...");
     let p = pipeline::run(scale, 4, true);
@@ -144,7 +154,7 @@ fn run_trace(args: &Args) -> ! {
     let path = args
         .out
         .clone()
-        .or_else(kishu_trace::global_path)
+        .or_else(|| settings.trace_path.clone())
         .unwrap_or_else(|| "target/trace.json".to_string());
     write_file(&path, &(trace.chrome_json().dump() + "\n"));
     eprintln!(
@@ -216,7 +226,7 @@ fn run_trace_validate(args: &Args) -> ! {
 
 /// `repro bench`: emit the CI gate's metrics JSON. `KISHU_BENCH_QUICK=1`
 /// shrinks the scale for the smoke stage unless `--scale` is explicit.
-fn run_bench(args: &Args) -> ! {
+fn run_bench(args: &Args, settings: &Settings) -> ! {
     let quick = std::env::var("KISHU_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
     let scale = if args.scale_set {
         args.scale
@@ -232,7 +242,7 @@ fn run_bench(args: &Args) -> ! {
     let path = args.out.clone().unwrap_or_else(|| "target/BENCH_pr.json".to_string());
     write_file(&path, &(json.pretty() + "\n"));
     eprintln!("[repro] wrote {path}");
-    export_global_trace();
+    export_global_trace(settings);
     std::process::exit(0);
 }
 
@@ -267,16 +277,42 @@ fn run_bench_compare(args: &Args) -> ! {
     }
 }
 
+/// `repro bench-gate`: evaluate every row of [`kishu_bench::gate::GATES`]
+/// against the reports under `target/`; exit 1 if any row fails.
+fn run_bench_gate() -> ! {
+    let mut failed = false;
+    for row in kishu_bench::gate::GATES {
+        let text = std::fs::read_to_string(row.file).ok();
+        let override_value = std::env::var(row.env).ok();
+        match row.evaluate(text.as_deref(), override_value.as_deref()) {
+            None => {}
+            Some(Ok(line)) => println!("bench-gate: {line}"),
+            Some(Err(line)) => {
+                eprintln!("bench-gate: {line}");
+                failed = true;
+            }
+        }
+    }
+    std::process::exit(i32::from(failed));
+}
+
 fn main() {
     let args = parse_args();
+    let settings = Settings::from_env();
+    if settings.trace_path.is_some() {
+        install_trace(&settings);
+    }
     if args.targets.iter().any(|t| t == "bench") {
-        run_bench(&args);
+        run_bench(&args, &settings);
     }
     if args.targets.first().is_some_and(|t| t == "bench-compare") {
         run_bench_compare(&args);
     }
+    if args.targets.first().is_some_and(|t| t == "bench-gate") {
+        run_bench_gate();
+    }
     if args.targets.first().is_some_and(|t| t == "trace") {
-        run_trace(&args);
+        run_trace(&args, &settings);
     }
     if args.targets.first().is_some_and(|t| t == "trace-validate") {
         run_trace_validate(&args);
@@ -434,5 +470,5 @@ fn main() {
     let json = Json::Array(tables.iter().map(Table::to_json).collect()).pretty();
     write_file(&json_path, &json);
     eprintln!("[repro] wrote {json_path}");
-    export_global_trace();
+    export_global_trace(&settings);
 }

@@ -26,5 +26,7 @@
 //! EXPERIMENTS.md records both sides.
 
 pub mod experiments;
+pub mod gate;
 pub mod methods;
 pub mod report;
+pub mod settings;

@@ -440,27 +440,6 @@ impl CheckpointGraph {
         a
     }
 
-    /// Lowest common ancestor via binary lifting: O(log depth) per query
-    /// after an O(n log n) jump-table build. The ablation partner of
-    /// [`Self::lca`] (the paper uses the off-the-shelf linear walk, noting
-    /// diff time stays ≤81 ms at 1000 cells; this shows the headroom).
-    pub fn lca_index(&self) -> LcaIndex {
-        let n = self.nodes.len();
-        let levels = (usize::BITS - n.leading_zeros()).max(1) as usize;
-        let mut up = vec![vec![NodeId(0); n]; levels];
-        for (i, node) in self.nodes.iter().enumerate() {
-            up[0][i] = node.parent.unwrap_or(NodeId(i as u32));
-        }
-        for l in 1..levels {
-            for i in 0..n {
-                let half = up[l - 1][i];
-                up[l][i] = up[l - 1][half.0 as usize];
-            }
-        }
-        let depths = self.nodes.iter().map(|n| n.depth).collect();
-        LcaIndex { up, depths }
-    }
-
     /// The session state at node `t` (Definition 5): every co-variable
     /// live after CE `t`, mapped to the node holding its current version.
     pub fn state_at(&self, t: NodeId) -> BTreeMap<CoVarKey, NodeId> {
@@ -711,43 +690,6 @@ fn validate_ref_name(name: &str) -> Result<(), String> {
         return Err(format!("ref name '{name}' is purely numeric (would shadow node ids)"));
     }
     Ok(())
-}
-
-/// Precomputed binary-lifting jump tables for O(log n) LCA queries.
-#[derive(Debug, Clone)]
-pub struct LcaIndex {
-    up: Vec<Vec<NodeId>>,
-    depths: Vec<u32>,
-}
-
-impl LcaIndex {
-    /// Lowest common ancestor of `a` and `b`.
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let (mut a, mut b) = (a, b);
-        if self.depths[a.0 as usize] < self.depths[b.0 as usize] {
-            std::mem::swap(&mut a, &mut b);
-        }
-        // Lift `a` to `b`'s depth.
-        let mut diff = self.depths[a.0 as usize] - self.depths[b.0 as usize];
-        let mut level = 0;
-        while diff > 0 {
-            if diff & 1 == 1 {
-                a = self.up[level][a.0 as usize];
-            }
-            diff >>= 1;
-            level += 1;
-        }
-        if a == b {
-            return a;
-        }
-        for l in (0..self.up.len()).rev() {
-            if self.up[l][a.0 as usize] != self.up[l][b.0 as usize] {
-                a = self.up[l][a.0 as usize];
-                b = self.up[l][b.0 as usize];
-            }
-        }
-        self.up[0][a.0 as usize]
-    }
 }
 
 // --- JSON encoding helpers for the persisted graph format ---------------
@@ -1523,51 +1465,5 @@ mod json_format_tests {
             let json = Json::parse(text).expect("well-formed JSON");
             assert!(CheckpointGraph::from_json(&json).is_err(), "{label} should be rejected");
         }
-    }
-}
-
-#[cfg(test)]
-mod lca_index_tests {
-    use super::*;
-    use kishu_testkit::prelude::*;
-
-    fn random_tree(parents: &[u8]) -> CheckpointGraph {
-        let mut g = CheckpointGraph::new();
-        for p in parents {
-            let target = NodeId(*p as u32 % g.len() as u32);
-            g.set_head(target);
-            g.commit("cell".into(), vec![], vec![], vec![]);
-        }
-        g
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Binary lifting agrees with the linear walk on arbitrary trees.
-        #[test]
-        fn lca_index_matches_linear_walk(
-            parents in prop::collection::vec(any::<u8>(), 1..80),
-            a in any::<u8>(),
-            b in any::<u8>(),
-        ) {
-            let g = random_tree(&parents);
-            let idx = g.lca_index();
-            let a = NodeId(a as u32 % g.len() as u32);
-            let b = NodeId(b as u32 % g.len() as u32);
-            prop_assert_eq!(idx.lca(a, b), g.lca(a, b));
-        }
-    }
-
-    #[test]
-    fn lca_index_on_a_deep_chain() {
-        let mut g = CheckpointGraph::new();
-        let mut nodes = vec![g.root()];
-        for i in 0..1000 {
-            nodes.push(g.commit(format!("c{i}"), vec![], vec![], vec![]));
-        }
-        let idx = g.lca_index();
-        assert_eq!(idx.lca(nodes[1000], nodes[3]), nodes[3]);
-        assert_eq!(idx.lca(nodes[500], nodes[500]), nodes[500]);
     }
 }

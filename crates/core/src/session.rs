@@ -68,9 +68,7 @@ pub struct KishuConfig {
     /// batch; store writes stay sequential on the session thread (in delta
     /// order), so store contents and fault ledgers are byte-identical at
     /// every worker count. `1` is the fully serial path — kept as the
-    /// differential-testing oracle. Defaults to the
-    /// `KISHU_CHECKPOINT_WORKERS` environment variable when set, else
-    /// `min(4, available cores)`.
+    /// differential-testing oracle. Defaults to `min(4, available cores)`.
     pub checkpoint_workers: usize,
     /// Content-addressed blob dedup: before writing a sealed payload, look
     /// its content key up in the session's [`kishu_storage::BlobIndex`] and
@@ -85,69 +83,30 @@ pub struct KishuConfig {
     /// stay sequential on the session thread (in plan order), so checkout
     /// reports, fault ledgers, and the restored namespace are identical at
     /// every worker count. `1` is the fully serial path — kept as the
-    /// differential-testing oracle. Defaults to the `KISHU_RESTORE_WORKERS`
-    /// environment variable when set, else `min(4, available cores)`.
+    /// differential-testing oracle. Defaults to `min(4, available cores)`.
     pub restore_workers: usize,
     /// Byte budget of the content-addressed checkout read cache
     /// ([`kishu_storage::BlobCache`]); `0` disables it. Payloads that pass
     /// their end-to-end CRC during a checkout are kept (LRU by bytes) under
     /// the same content keys the write-side dedup index uses, so repeated
     /// undo/redo over the same states skips the store read, the CRC pass,
-    /// and the decode charge. Defaults to the `KISHU_CHECKOUT_CACHE_BYTES`
-    /// environment variable when set, else 32 MiB.
+    /// and the decode charge. Defaults to 32 MiB.
     pub checkout_cache_bytes: u64,
     /// Execute cells on the minipy bytecode VM (`true`, the default) or on
     /// the tree-walking oracle interpreter (`false`). Both engines are
     /// observably identical — namespaces, heap allocation order, access
-    /// records, replay semantics, and error shapes — which ci.sh enforces
-    /// with a `KISHU_MINIPY_VM={0,1}` × worker-count matrix. Defaults to
-    /// the `KISHU_MINIPY_VM` environment variable (`0` = tree) when set.
+    /// records, replay semantics, and error shapes — which the root
+    /// differential suites enforce on both engines. Defaults to `true`.
     pub minipy_vm: bool,
 }
 
-/// Default checkpoint pipeline width: `KISHU_CHECKPOINT_WORKERS` when set
-/// (clamped to at least 1), else `min(4, available cores)`.
-pub fn default_checkpoint_workers() -> usize {
-    if let Ok(v) = std::env::var("KISHU_CHECKPOINT_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
+/// Default width of the checkpoint and restore pipelines:
+/// `min(4, available cores)`.
+fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(4)
-}
-
-/// Default restore pipeline width: `KISHU_RESTORE_WORKERS` when set
-/// (clamped to at least 1), else `min(4, available cores)`.
-pub fn default_restore_workers() -> usize {
-    if let Ok(v) = std::env::var("KISHU_RESTORE_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// Default cell-execution engine: tree-walker when `KISHU_MINIPY_VM=0`,
-/// else the bytecode VM.
-pub fn default_minipy_vm() -> bool {
-    kishu_minipy::Engine::from_env() == kishu_minipy::Engine::Vm
-}
-
-/// Default checkout read-cache budget: `KISHU_CHECKOUT_CACHE_BYTES` when
-/// set (`0` disables the cache), else 32 MiB.
-pub fn default_checkout_cache_bytes() -> u64 {
-    if let Ok(v) = std::env::var("KISHU_CHECKOUT_CACHE_BYTES") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            return n;
-        }
-    }
-    32 * 1024 * 1024
 }
 
 impl Default for KishuConfig {
@@ -161,11 +120,11 @@ impl Default for KishuConfig {
             hash_primitive_lists: false,
             defer_serialization: false,
             store_retries: 2,
-            checkpoint_workers: default_checkpoint_workers(),
+            checkpoint_workers: default_workers(),
             dedup_blobs: true,
-            restore_workers: default_restore_workers(),
-            checkout_cache_bytes: default_checkout_cache_bytes(),
-            minipy_vm: default_minipy_vm(),
+            restore_workers: default_workers(),
+            checkout_cache_bytes: 32 * 1024 * 1024,
+            minipy_vm: true,
         }
     }
 }
@@ -438,8 +397,9 @@ pub struct KishuSession {
     /// from. Feeds [`Self::live_blobs`] so shared-store GC never reclaims
     /// the snapshot a resume would need.
     snapshot_blobs: Vec<BlobId>,
-    /// Observability handle (spans + metrics). Disabled by default unless
-    /// `KISHU_TRACE` is set; never consulted for any decision, so enabling
+    /// Observability handle (spans + metrics). Starts as
+    /// [`kishu_trace::global`] — disabled unless the embedding program
+    /// installed one; never consulted for any decision, so enabling
     /// it cannot change behavior. Span guards still time phases while
     /// disabled — that is where the report's wall-clock fields come from.
     trace: Trace,
@@ -481,16 +441,6 @@ impl KishuSession {
         let trace = kishu_trace::global().clone();
         store.attach_trace(&trace);
         read_cache.attach_trace(&trace);
-        // Arm the crash black box only for operator-enabled recorders
-        // (KISHU_TRACE / KISHU_OBS_BLACKBOX): unit tests that build
-        // sessions around private enabled traces should not leave dump
-        // files behind on unrelated panics.
-        if trace.is_enabled()
-            && (std::env::var_os("KISHU_TRACE").is_some()
-                || std::env::var_os("KISHU_OBS_BLACKBOX").is_some())
-        {
-            kishu_trace::blackbox::install_panic_hook(&trace);
-        }
         KishuSession {
             interp,
             reducer: LibReducer::new(registry.clone()),
@@ -679,10 +629,10 @@ impl KishuSession {
         // must not fail the whole persist.
         let sealed = seal_blob(&payload);
         let retries = self.config.store_retries;
-        let id = retry_io(kishu_trace::global(), retries, || self.store.put(&sealed))?;
+        let id = retry_io(&self.trace, retries, || self.store.put(&sealed))?;
         // The snapshot is the resume anchor — it must never sit in a
         // group-commit buffer behind the blobs it references.
-        retry_io(kishu_trace::global(), retries, || self.store.flush_barrier())?;
+        retry_io(&self.trace, retries, || self.store.flush_barrier())?;
         self.snapshot_blobs.push(id);
         Ok(())
     }
@@ -1170,17 +1120,6 @@ impl KishuSession {
     ///    live heap, namespace binding, and fallback recomputation run
     ///    sequentially, consuming the verified payloads in plan order.
     pub fn checkout(&mut self, target: NodeId) -> Result<CheckoutReport, KishuError> {
-        let result = self.checkout_inner(target);
-        if result.is_err() {
-            // A failed time-travel is the flight recorder's reason to
-            // exist: flush the ring tail + recent events to disk (only
-            // when the operator armed `KISHU_OBS_BLACKBOX`).
-            self.black_box("checkout_error");
-        }
-        result
-    }
-
-    fn checkout_inner(&mut self, target: NodeId) -> Result<CheckoutReport, KishuError> {
         // The `checkout` span is the wall-time stopwatch: its `end()` below
         // supplies `co_wall_ns` — one clock read, shared by the
         // report and the trace.
@@ -1861,19 +1800,6 @@ impl KishuSession {
             events_dropped: self.trace.events_dropped(),
         }
     }
-
-    /// Write a crash black box (ring tail + recent events) under
-    /// `target/flightrec/` — only when the operator armed it with
-    /// `KISHU_OBS_BLACKBOX` and the recorder is enabled. Best-effort:
-    /// dump failures are swallowed, because observability must never turn
-    /// a degraded session into a dead one.
-    fn black_box(&self, reason: &str) {
-        if std::env::var_os("KISHU_OBS_BLACKBOX").is_none() {
-            return;
-        }
-        let dir = std::path::Path::new(kishu_trace::blackbox::DEFAULT_DIR);
-        let _ = kishu_trace::blackbox::dump(&self.trace, dir, reason);
-    }
 }
 
 /// One op family's rolling-window tail latencies in a [`HealthReport`].
@@ -2214,7 +2140,7 @@ mod tests {
         // Span guards time phases even when no trace is attached: the
         // derived report fields must be populated either way.
         let mut s = session();
-        assert!(!s.trace().is_enabled() || std::env::var("KISHU_TRACE").is_ok());
+        assert!(!s.trace().is_enabled());
         let r1 = run(&mut s, "x = list(range(100))\n");
         let r2 = run(&mut s, "x = list(range(50))\n");
         assert!(r2.serialize_ns > 0, "serialize phase must be timed");
@@ -2548,6 +2474,17 @@ mod tests {
         let report = run(&mut s, "xs = [1, 2, 3]\n");
         assert_eq!(report.blobs_dropped, 0, "retry absorbed the transient fault");
         assert!(report.checkpoint_bytes > 0);
+    }
+
+    #[test]
+    fn persist_records_its_retries_on_the_session_trace() {
+        use kishu_storage::{FaultKind, FaultOp, FaultPlan, FaultStore};
+        let plan = FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::Transient);
+        let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
+        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        s.set_trace(&Trace::enabled());
+        s.persist().expect("the transient snapshot-put fault is retried");
+        assert_eq!(s.trace().metrics().counter_value("store.retry"), Some(1));
     }
 
     #[test]

@@ -449,15 +449,19 @@ pub fn seeded_values(n: usize, seed: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::Interp;
+    use crate::interp::each_engine;
 
+    /// The value `src` evaluates to, asserted equal on both engines.
     fn eval_repr(src: &str) -> String {
-        let mut i = Interp::new();
-        let out = i.run_cell(src).expect("parses");
-        if let Some(e) = out.error {
-            panic!("cell failed: {e}");
-        }
-        out.value_repr.unwrap_or_default()
+        let [tree, vm] = each_engine().map(|mut i| {
+            let out = i.run_cell(src).expect("parses");
+            if let Some(e) = out.error {
+                panic!("cell failed: {e}");
+            }
+            out.value_repr.unwrap_or_default()
+        });
+        assert_eq!(tree, vm, "engines disagree on {src:?}");
+        vm
     }
 
     #[test]
@@ -480,10 +484,11 @@ mod tests {
 
     #[test]
     fn sorted_is_non_destructive() {
-        let mut i = Interp::new();
-        let out = i.run_cell("a = [3, 1, 2]\nb = sorted(a)\na\n").expect("runs");
-        assert!(out.ok());
-        assert_eq!(out.value_repr.expect("value"), "[3, 1, 2]");
+        for mut i in each_engine() {
+            let out = i.run_cell("a = [3, 1, 2]\nb = sorted(a)\na\n").expect("runs");
+            assert!(out.ok());
+            assert_eq!(out.value_repr.expect("value"), "[3, 1, 2]");
+        }
     }
 
     #[test]
@@ -501,21 +506,23 @@ mod tests {
 
     #[test]
     fn randn_is_nondeterministic_across_reruns() {
-        let mut i = Interp::new();
-        i.run_cell("a = randn(4)\n").expect("runs");
-        i.run_cell("b = randn(4)\n").expect("runs");
-        let a = i.globals.peek("a").expect("a");
-        let b = i.globals.peek("b").expect("b");
-        assert!(!i.value_eq(a, b));
+        for mut i in each_engine() {
+            i.run_cell("a = randn(4)\n").expect("runs");
+            i.run_cell("b = randn(4)\n").expect("runs");
+            let a = i.globals.peek("a").expect("a");
+            let b = i.globals.peek("b").expect("b");
+            assert!(!i.value_eq(a, b));
+        }
     }
 
     #[test]
     fn randn_seeded_is_deterministic() {
-        let mut i = Interp::new();
-        i.run_cell("a = randn_seeded(4, 9)\nb = randn_seeded(4, 9)\n").expect("runs");
-        let a = i.globals.peek("a").expect("a");
-        let b = i.globals.peek("b").expect("b");
-        assert!(i.value_eq(a, b));
+        for mut i in each_engine() {
+            i.run_cell("a = randn_seeded(4, 9)\nb = randn_seeded(4, 9)\n").expect("runs");
+            let a = i.globals.peek("a").expect("a");
+            let b = i.globals.peek("b").expect("b");
+            assert!(i.value_eq(a, b));
+        }
     }
 
     #[test]
@@ -525,17 +532,19 @@ mod tests {
 
     #[test]
     fn object_attribute_bag() {
-        let mut i = Interp::new();
-        let out = i.run_cell("o = Object()\no.foo = 1\no.foo + 1\n").expect("runs");
-        assert!(out.ok());
-        assert_eq!(out.value_repr.expect("value"), "2");
+        for mut i in each_engine() {
+            let out = i.run_cell("o = Object()\no.foo = 1\no.foo + 1\n").expect("runs");
+            assert!(out.ok());
+            assert_eq!(out.value_repr.expect("value"), "2");
+        }
     }
 
     #[test]
     fn print_captures_output() {
-        let mut i = Interp::new();
-        let out = i.run_cell("print('hello', 42)\n").expect("runs");
-        assert_eq!(out.output, vec!["hello 42".to_string()]);
+        for mut i in each_engine() {
+            let out = i.run_cell("print('hello', 42)\n").expect("runs");
+            assert_eq!(out.output, vec!["hello 42".to_string()]);
+        }
     }
 
     #[test]
@@ -543,11 +552,10 @@ mod tests {
         assert_eq!(eval_repr("enumerate(['a', 'b'])\n"), "[(0, 'a'), (1, 'b')]");
         assert_eq!(eval_repr("zip([1, 2], ['x', 'y'])\n"), "[(1, 'x'), (2, 'y')]");
         assert_eq!(eval_repr("zip([1, 2, 3], [4])\n"), "[(1, 4)]");
-        let mut i = Interp::new();
-        let out = i
-            .run_cell("total = 0\nfor pair in enumerate([10, 20]):\n    total += pair[0] * pair[1]\ntotal\n")
-            .expect("runs");
-        assert_eq!(out.value_repr.as_deref(), Some("20"));
+        assert_eq!(
+            eval_repr("total = 0\nfor pair in enumerate([10, 20]):\n    total += pair[0] * pair[1]\ntotal\n"),
+            "20"
+        );
     }
 
     #[test]
@@ -564,10 +572,11 @@ mod tests {
 
     #[test]
     fn generator_is_opaque() {
-        let mut i = Interp::new();
-        let out = i.run_cell("g = make_generator()\n").expect("runs");
-        assert!(out.ok());
-        let g = i.globals.peek("g").expect("g");
-        assert!(!i.heap.kind(g).is_traversable());
+        for mut i in each_engine() {
+            let out = i.run_cell("g = make_generator()\n").expect("runs");
+            assert!(out.ok());
+            let g = i.globals.peek("g").expect("g");
+            assert!(!i.heap.kind(g).is_traversable());
+        }
     }
 }

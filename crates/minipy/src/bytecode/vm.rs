@@ -529,16 +529,13 @@ fn dispatch(
 
 #[cfg(test)]
 mod tests {
-    use crate::interp::{Engine, Interp};
+    use crate::interp::{each_engine, Engine, Interp};
 
     /// Run one source snippet through both engines and assert every
     /// observable is identical — including `ObjId`s (allocation order) and
     /// the heap's total allocation count.
     fn differential(src: &str) {
-        let mut tree = Interp::new();
-        tree.set_engine(Engine::Tree);
-        let mut vm = Interp::new();
-        vm.set_engine(Engine::Vm);
+        let [mut tree, mut vm] = each_engine();
         let a = tree.run_cell(src);
         let b = vm.run_cell(src);
         match (a, b) {
@@ -637,9 +634,7 @@ mod tests {
 
     #[test]
     fn vm_temp_namespace_replay_matches_tree() {
-        for engine in [Engine::Tree, Engine::Vm] {
-            let mut i = Interp::new();
-            i.set_engine(engine);
+        for mut i in each_engine() {
             i.run_cell("seed = 21\n").expect("runs");
             let obj = i.globals.peek("seed").expect("bound");
             let bindings = i

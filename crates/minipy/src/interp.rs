@@ -46,18 +46,6 @@ pub enum Engine {
     Vm,
 }
 
-impl Engine {
-    /// Engine selected by the `KISHU_MINIPY_VM` environment variable:
-    /// `0` forces the tree-walking oracle; anything else (or unset)
-    /// selects the VM.
-    pub fn from_env() -> Engine {
-        match std::env::var("KISHU_MINIPY_VM") {
-            Ok(v) if v.trim() == "0" => Engine::Tree,
-            _ => Engine::Vm,
-        }
-    }
-}
-
 /// Signature of a registered builtin function.
 pub type Builtin =
     Rc<dyn Fn(&mut Interp, Vec<ObjId>, Vec<(String, ObjId)>) -> Result<ObjId, RunError>>;
@@ -171,7 +159,7 @@ impl Interp {
             iter_budget: ITERATION_BUDGET,
             iter_remaining: ITERATION_BUDGET,
             depth: 0,
-            engine: Engine::from_env(),
+            engine: Engine::Vm,
             vm_cells: HashMap::new(),
             vm_funcs: HashMap::new(),
             vm_pool: Vec::new(),
@@ -180,7 +168,7 @@ impl Interp {
         interp
     }
 
-    /// Select the execution engine (overrides the `KISHU_MINIPY_VM` default).
+    /// Select the execution engine (the default is [`Engine::Vm`]).
     pub fn set_engine(&mut self, engine: Engine) {
         self.engine = engine;
     }
@@ -1759,23 +1747,42 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A fresh interpreter per engine: the tree-walking oracle, then the VM.
+/// In-crate tests that assert results run on both.
+#[cfg(test)]
+pub(crate) fn each_engine() -> [Interp; 2] {
+    [Engine::Tree, Engine::Vm].map(|engine| {
+        let mut i = Interp::new();
+        i.set_engine(engine);
+        i
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The value `src` evaluates to, asserted equal on both engines.
     fn eval(src: &str) -> String {
-        let mut i = Interp::new();
-        let out = i.run_cell(src).expect("parses");
-        if let Some(e) = out.error {
-            panic!("cell failed: {e}");
-        }
-        out.value_repr.unwrap_or_default()
+        let [tree, vm] = each_engine().map(|mut i| {
+            let out = i.run_cell(src).expect("parses");
+            if let Some(e) = out.error {
+                panic!("cell failed: {e}");
+            }
+            out.value_repr.unwrap_or_default()
+        });
+        assert_eq!(tree, vm, "engines disagree on {src:?}");
+        vm
     }
 
+    /// The error `src` raises, asserted identical on both engines.
     fn run_err(src: &str) -> RunError {
-        let mut i = Interp::new();
-        let out = i.run_cell(src).expect("parses");
-        out.error.expect("cell should raise")
+        let [tree, vm] = each_engine().map(|mut i| {
+            let out = i.run_cell(src).expect("parses");
+            out.error.expect("cell should raise")
+        });
+        assert_eq!((tree.kind, tree.to_string()), (vm.kind, vm.to_string()), "{src:?}");
+        vm
     }
 
     #[test]
@@ -1796,14 +1803,15 @@ mod tests {
 
     #[test]
     fn functions_locals_do_not_leak() {
-        let mut i = Interp::new();
-        let out = i
-            .run_cell("def f(x):\n    local_only = x * 2\n    return local_only\ny = f(21)\n")
-            .expect("parses");
-        assert!(out.error.is_none());
-        assert!(i.globals.contains("y"));
-        assert!(!i.globals.contains("local_only"), "locals must not leak");
-        assert!(!i.globals.contains("x"));
+        for mut i in each_engine() {
+            let out = i
+                .run_cell("def f(x):\n    local_only = x * 2\n    return local_only\ny = f(21)\n")
+                .expect("parses");
+            assert!(out.error.is_none());
+            assert!(i.globals.contains("y"));
+            assert!(!i.globals.contains("local_only"), "locals must not leak");
+            assert!(!i.globals.contains("x"));
+        }
     }
 
     #[test]
@@ -1844,11 +1852,12 @@ mod tests {
 
     #[test]
     fn mutations_before_a_raise_persist() {
-        let mut i = Interp::new();
-        let out = i.run_cell("ls = []\nls.append(1)\nboom()\nls.append(2)\n").expect("parses");
-        assert!(out.error.is_some());
-        let ls = i.globals.peek("ls").expect("bound before the raise");
-        assert_eq!(i.heap.children(ls).len(), 1, "first append persisted, second never ran");
+        for mut i in each_engine() {
+            let out = i.run_cell("ls = []\nls.append(1)\nboom()\nls.append(2)\n").expect("parses");
+            assert!(out.error.is_some());
+            let ls = i.globals.peek("ls").expect("bound before the raise");
+            assert_eq!(i.heap.children(ls).len(), 1, "first append persisted, second never ran");
+        }
     }
 
     #[test]
@@ -1870,29 +1879,31 @@ mod tests {
 
     #[test]
     fn temp_namespace_runs_are_isolated() {
-        let mut i = Interp::new();
-        i.run_cell("keep = 'session'\n").expect("runs");
-        let obj = i.globals.peek("keep").expect("bound");
-        let result = i
-            .run_cell_in_temp_namespace("derived = seed * 2\n", vec![("seed".into(), obj)])
-            .err();
-        // `seed * 2` on a string: 'sessionsession' — no error expected...
-        assert!(result.is_none() || result.is_some());
-        // The session namespace is untouched either way.
-        assert_eq!(i.globals.len(), 1);
-        assert!(i.globals.contains("keep"));
-        // And tracking in the session scope still works afterwards.
-        let out = i.run_cell("keep2 = keep\n").expect("runs");
-        assert!(out.access.gets.contains("keep"));
+        for mut i in each_engine() {
+            i.run_cell("keep = 'session'\n").expect("runs");
+            let obj = i.globals.peek("keep").expect("bound");
+            let result = i
+                .run_cell_in_temp_namespace("derived = seed * 2\n", vec![("seed".into(), obj)])
+                .err();
+            // `seed * 2` on a string: 'sessionsession' — no error expected...
+            assert!(result.is_none() || result.is_some());
+            // The session namespace is untouched either way.
+            assert_eq!(i.globals.len(), 1);
+            assert!(i.globals.contains("keep"));
+            // And tracking in the session scope still works afterwards.
+            let out = i.run_cell("keep2 = keep\n").expect("runs");
+            assert!(out.access.gets.contains("keep"));
+        }
     }
 
     #[test]
     fn iteration_budget_stops_runaway_cells() {
-        let mut i = Interp::new();
-        i.set_iteration_budget(10_000);
-        let out = i.run_cell("k = 0\nwhile True:\n    k += 1\n").expect("parses");
-        let e = out.error.expect("must be stopped");
-        assert_eq!(e.kind, RunErrorKind::LimitError);
+        for mut i in each_engine() {
+            i.set_iteration_budget(10_000);
+            let out = i.run_cell("k = 0\nwhile True:\n    k += 1\n").expect("parses");
+            let e = out.error.expect("must be stopped");
+            assert_eq!(e.kind, RunErrorKind::LimitError);
+        }
     }
 
     #[test]
@@ -1917,13 +1928,14 @@ mod tests {
 
     #[test]
     fn rng_reseeding_reproduces() {
-        let mut i = Interp::new();
-        i.set_rng_seed(1234);
-        i.run_cell("a = randn(8)\n").expect("runs");
-        i.set_rng_seed(1234);
-        i.run_cell("b = randn(8)\n").expect("runs");
-        let a = i.globals.peek("a").expect("a");
-        let b = i.globals.peek("b").expect("b");
-        assert!(i.value_eq(a, b), "same seed, same draw");
+        for mut i in each_engine() {
+            i.set_rng_seed(1234);
+            i.run_cell("a = randn(8)\n").expect("runs");
+            i.set_rng_seed(1234);
+            i.run_cell("b = randn(8)\n").expect("runs");
+            let a = i.globals.peek("a").expect("a");
+            let b = i.globals.peek("b").expect("b");
+            assert!(i.value_eq(a, b), "same seed, same draw");
+        }
     }
 }

@@ -680,7 +680,7 @@ fn generator_method(interp: &mut Interp, token: u64, method: &str) -> Result<Obj
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::Interp;
+    use crate::interp::{each_engine, Interp};
 
     fn run(interp: &mut Interp, src: &str) {
         let out = interp.run_cell(src).expect("parses");
@@ -696,70 +696,77 @@ mod tests {
 
     #[test]
     fn list_mutators() {
-        let mut i = Interp::new();
-        run(&mut i, "ls = [3, 1, 2]\nls.append(5)\nls.sort()\nls.reverse()\n");
-        assert_eq!(repr_of(&mut i, "ls"), "[5, 3, 2, 1]");
-        run(&mut i, "x = ls.pop()\nls.remove(5)\n");
-        assert_eq!(repr_of(&mut i, "ls"), "[3, 2]");
-        assert_eq!(repr_of(&mut i, "x"), "1");
+        for mut i in each_engine() {
+            run(&mut i, "ls = [3, 1, 2]\nls.append(5)\nls.sort()\nls.reverse()\n");
+            assert_eq!(repr_of(&mut i, "ls"), "[5, 3, 2, 1]");
+            run(&mut i, "x = ls.pop()\nls.remove(5)\n");
+            assert_eq!(repr_of(&mut i, "ls"), "[3, 2]");
+            assert_eq!(repr_of(&mut i, "x"), "1");
+        }
     }
 
     #[test]
     fn dict_methods() {
-        let mut i = Interp::new();
-        run(&mut i, "d = {'a': 1}\nd.update({'b': 2})\nv = d.get('b')\nm = d.get('zz', 9)\n");
-        assert_eq!(repr_of(&mut i, "v"), "2");
-        assert_eq!(repr_of(&mut i, "m"), "9");
-        run(&mut i, "ks = d.keys()\n");
-        assert_eq!(repr_of(&mut i, "ks"), "['a', 'b']");
+        for mut i in each_engine() {
+            run(&mut i, "d = {'a': 1}\nd.update({'b': 2})\nv = d.get('b')\nm = d.get('zz', 9)\n");
+            assert_eq!(repr_of(&mut i, "v"), "2");
+            assert_eq!(repr_of(&mut i, "m"), "9");
+            run(&mut i, "ks = d.keys()\n");
+            assert_eq!(repr_of(&mut i, "ks"), "['a', 'b']");
+        }
     }
 
     #[test]
     fn str_methods() {
-        let mut i = Interp::new();
-        run(&mut i, "s = ' Hello World '.strip()\nparts = s.split()\nu = s.upper()\nj = '-'.join(parts)\n");
-        assert_eq!(repr_of(&mut i, "parts"), "['Hello', 'World']");
-        assert_eq!(repr_of(&mut i, "u"), "'HELLO WORLD'");
-        assert_eq!(repr_of(&mut i, "j"), "'Hello-World'");
+        for mut i in each_engine() {
+            run(&mut i, "s = ' Hello World '.strip()\nparts = s.split()\nu = s.upper()\nj = '-'.join(parts)\n");
+            assert_eq!(repr_of(&mut i, "parts"), "['Hello', 'World']");
+            assert_eq!(repr_of(&mut i, "u"), "'HELLO WORLD'");
+            assert_eq!(repr_of(&mut i, "j"), "'Hello-World'");
+        }
     }
 
     #[test]
     fn ndarray_reductions_and_inplace() {
-        let mut i = Interp::new();
-        run(&mut i, "a = zeros(4)\na.fill(2.0)\ns = a.sum()\na[0] = 10.0\n");
-        assert_eq!(repr_of(&mut i, "s"), "8.0");
-        run(&mut i, "m = a.max()\n");
-        assert_eq!(repr_of(&mut i, "m"), "10.0");
+        for mut i in each_engine() {
+            run(&mut i, "a = zeros(4)\na.fill(2.0)\ns = a.sum()\na[0] = 10.0\n");
+            assert_eq!(repr_of(&mut i, "s"), "8.0");
+            run(&mut i, "m = a.max()\n");
+            assert_eq!(repr_of(&mut i, "m"), "10.0");
+        }
     }
 
     #[test]
     fn series_replace_in_place_keeps_identity() {
-        let mut i = Interp::new();
-        run(&mut i, "ser = series('mood', ['a', 'b', 'c'])\nbefore = id(ser)\nser.replace('b', 'z')\nafter = id(ser)\n");
-        assert_eq!(repr_of(&mut i, "before"), repr_of(&mut i, "after"));
-        let ser = i.globals.peek("ser").expect("bound");
-        if let ObjKind::Series { values, .. } = i.heap.kind(ser).clone() {
-            let r = repr::repr(&i.heap, values);
-            assert_eq!(r, "['a', 'z', 'c']");
-        } else {
-            panic!("not a series");
+        for mut i in each_engine() {
+            run(&mut i, "ser = series('mood', ['a', 'b', 'c'])\nbefore = id(ser)\nser.replace('b', 'z')\nafter = id(ser)\n");
+            assert_eq!(repr_of(&mut i, "before"), repr_of(&mut i, "after"));
+            let ser = i.globals.peek("ser").expect("bound");
+            if let ObjKind::Series { values, .. } = i.heap.kind(ser).clone() {
+                let r = repr::repr(&i.heap, values);
+                assert_eq!(r, "['a', 'z', 'c']");
+            } else {
+                panic!("not a series");
+            }
         }
     }
 
     #[test]
     fn dataframe_drop_shares_columns() {
-        let mut i = Interp::new();
-        run(
-            &mut i,
-            "df = read_csv('t', 10, 3, 1)\nc0 = df['c0']\ndf2 = df.drop('c1')\nc0b = df2['c0']\nsame = id(c0) == id(c0b)\n",
-        );
-        assert_eq!(repr_of(&mut i, "same"), "True");
+        for mut i in each_engine() {
+            run(
+                &mut i,
+                "df = read_csv('t', 10, 3, 1)\nc0 = df['c0']\ndf2 = df.drop('c1')\nc0b = df2['c0']\nsame = id(c0) == id(c0b)\n",
+            );
+            assert_eq!(repr_of(&mut i, "same"), "True");
+        }
     }
 
     #[test]
     fn dataframe_head_copies() {
-        let mut i = Interp::new();
-        run(&mut i, "df = read_csv('t', 100, 2, 7)\nh = df.head(3)\nn = h.shape\n");
-        assert_eq!(repr_of(&mut i, "n"), "(3, 2)");
+        for mut i in each_engine() {
+            run(&mut i, "df = read_csv('t', 100, 2, 7)\nh = df.head(3)\nn = h.shape\n");
+            assert_eq!(repr_of(&mut i, "n"), "(3, 2)");
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! This module owns the three pieces the stores share:
 //!
 //! * [`ChunkConfig`] — the representation settings, fixed at store
-//!   construction (the `KISHU_CHUNKING` kill-switch is the only one read
-//!   from the environment);
+//!   construction and passed in by the caller (this crate reads no
+//!   environment);
 //! * [`chunk_spans`] — the deterministic cutter;
 //! * [`ChunkLedger`] — chunk-level dedup (by stored-form content key) with
 //!   refcounts and the [`ChunkStats`] aggregate.
@@ -38,7 +38,7 @@
 //!
 //! Everything here is representation-only: with chunking on or off, a
 //! store's logical view (ids, payloads, stats minus physical bytes) is
-//! byte-identical. The kill-switch (`KISHU_CHUNKING=0`) produces
+//! byte-identical. The kill-switch ([`ChunkConfig::disabled`]) produces
 //! bit-identical v1 log frames.
 
 use std::collections::HashMap;
@@ -76,8 +76,8 @@ const fn gear_table() -> [u64; 256] {
 /// Chunking/compression settings, fixed at store construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkConfig {
-    /// Master switch (`KISHU_CHUNKING`, default on). Off means every put
-    /// writes a bit-identical v1 frame.
+    /// Master switch (default on). Off means every put writes a
+    /// bit-identical v1 frame.
     pub enabled: bool,
     /// Per-chunk compression (default on).
     pub compress: bool,
@@ -104,17 +104,6 @@ impl Default for ChunkConfig {
 }
 
 impl ChunkConfig {
-    /// The default configuration with the `KISHU_CHUNKING` kill-switch
-    /// applied (`0`, `false`, `off` or empty turn chunking off). Read once,
-    /// at store construction: a store's representation is fixed for life.
-    pub fn from_env() -> Self {
-        let enabled = match std::env::var("KISHU_CHUNKING") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => true,
-        };
-        ChunkConfig { enabled, ..ChunkConfig::default() }
-    }
-
     /// The v1 behavior: no chunking, no compression.
     pub fn disabled() -> Self {
         ChunkConfig {

@@ -754,322 +754,354 @@ impl CheckpointStore for FaultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoryStore;
+    use crate::{each_chunk_config, ChunkConfig, MemoryStore};
 
-    fn faulty(plan: FaultPlan, seed: u64) -> FaultStore {
-        FaultStore::new(Box::new(MemoryStore::new()), plan, seed)
+    fn faulty(cfg: ChunkConfig, plan: FaultPlan, seed: u64) -> FaultStore {
+        FaultStore::new(Box::new(MemoryStore::with_config(cfg)), plan, seed)
     }
 
     #[test]
     fn no_faults_is_a_pure_pass_through() {
-        let mut s = faulty(FaultPlan::none(), 1);
-        let a = s.put(b"alpha").expect("put");
-        assert_eq!(s.get(a).expect("get"), b"alpha");
-        s.sync().expect("sync");
-        assert_eq!(s.blob_count(), 1);
-        let ledger = s.ledger();
-        assert_eq!(ledger.total(), 0);
-        assert_eq!((ledger.puts, ledger.gets, ledger.syncs), (1, 1, 1));
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none(), 1);
+            let a = s.put(b"alpha").expect("put");
+            assert_eq!(s.get(a).expect("get"), b"alpha");
+            s.sync().expect("sync");
+            assert_eq!(s.blob_count(), 1);
+            let ledger = s.ledger();
+            assert_eq!(ledger.total(), 0);
+            assert_eq!((ledger.puts, ledger.gets, ledger.syncs), (1, 1, 1));
+        }
     }
 
     #[test]
     fn same_seed_injects_the_same_faults() {
-        let run = |seed: u64| {
-            let mut s = faulty(FaultPlan::transient(0.3), seed);
-            let mut outcomes = Vec::new();
-            for i in 0..50u64 {
-                outcomes.push(s.put(&[i as u8; 16]).is_ok());
-                outcomes.push(s.get(i % s.blob_count().max(1)).is_ok());
-                outcomes.push(s.sync().is_ok());
-            }
-            (outcomes, s.ledger().injected)
-        };
-        assert_eq!(run(42), run(42), "deterministic from the seed");
-        assert_ne!(run(42).1, run(43).1, "different seeds, different faults");
+        for cfg in each_chunk_config() {
+            let run = |seed: u64| {
+                let mut s = faulty(cfg.clone(), FaultPlan::transient(0.3), seed);
+                let mut outcomes = Vec::new();
+                for i in 0..50u64 {
+                    outcomes.push(s.put(&[i as u8; 16]).is_ok());
+                    outcomes.push(s.get(i % s.blob_count().max(1)).is_ok());
+                    outcomes.push(s.sync().is_ok());
+                }
+                (outcomes, s.ledger().injected)
+            };
+            assert_eq!(run(42), run(42), "deterministic from the seed");
+            assert_ne!(run(42).1, run(43).1, "different seeds, different faults");
+        }
     }
 
     #[test]
     fn probabilistic_faults_are_independent_of_operation_interleaving() {
-        // Issue the same logical puts in two different orders: each payload
-        // must see the same fault outcome either way, because the decision
-        // is keyed on (seed, op, payload hash, attempt), not on a shared
-        // RNG stream consumed in call order.
-        let payloads: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 24 + i as usize]).collect();
-        let outcomes = |order: Vec<usize>| {
-            let mut s = faulty(FaultPlan::transient(0.35), 0x1EAF);
-            let mut by_payload = vec![false; payloads.len()];
-            for i in order {
-                by_payload[i] = s.put(&payloads[i]).is_ok();
-            }
-            by_payload
-        };
-        let forward = outcomes((0..payloads.len()).collect());
-        let reversed = outcomes((0..payloads.len()).rev().collect());
-        assert_eq!(forward, reversed, "fault decisions must not depend on call order");
-        assert!(forward.iter().any(|ok| !ok), "seed 0x1EAF should fire at p=0.35");
-        assert!(forward.iter().any(|ok| *ok), "and not fire everywhere");
+        for cfg in each_chunk_config() {
+            // Issue the same logical puts in two different orders: each payload
+            // must see the same fault outcome either way, because the decision
+            // is keyed on (seed, op, payload hash, attempt), not on a shared
+            // RNG stream consumed in call order.
+            let payloads: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 24 + i as usize]).collect();
+            let outcomes = |order: Vec<usize>| {
+                let mut s = faulty(cfg.clone(), FaultPlan::transient(0.35), 0x1EAF);
+                let mut by_payload = vec![false; payloads.len()];
+                for i in order {
+                    by_payload[i] = s.put(&payloads[i]).is_ok();
+                }
+                by_payload
+            };
+            let forward = outcomes((0..payloads.len()).collect());
+            let reversed = outcomes((0..payloads.len()).rev().collect());
+            assert_eq!(forward, reversed, "fault decisions must not depend on call order");
+            assert!(forward.iter().any(|ok| !ok), "seed 0x1EAF should fire at p=0.35");
+            assert!(forward.iter().any(|ok| *ok), "and not fire everywhere");
+        }
     }
 
     #[test]
     fn retries_of_the_same_key_draw_fresh_randomness() {
-        // With p=0.5 and many attempts of one payload, both outcomes must
-        // occur: the per-key attempt counter advances the draw.
-        let mut s = faulty(FaultPlan::transient(0.5), 99);
-        let results: Vec<bool> = (0..64).map(|_| s.put(b"same bytes").is_ok()).collect();
-        assert!(results.iter().any(|ok| *ok));
-        assert!(results.iter().any(|ok| !ok));
+        for cfg in each_chunk_config() {
+            // With p=0.5 and many attempts of one payload, both outcomes must
+            // occur: the per-key attempt counter advances the draw.
+            let mut s = faulty(cfg.clone(), FaultPlan::transient(0.5), 99);
+            let results: Vec<bool> = (0..64).map(|_| s.put(b"same bytes").is_ok()).collect();
+            assert!(results.iter().any(|ok| *ok));
+            assert!(results.iter().any(|ok| !ok));
+        }
     }
 
     #[test]
     fn transient_faults_are_interrupted_and_leave_inner_untouched() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::Transient), 7);
-        let err = s.put(b"x").expect_err("scheduled fault");
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(s.inner().blob_count(), 0, "nothing reached the inner store");
-        // The retry (next invocation) succeeds.
-        s.put(b"x").expect("retry works");
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::Transient), 7);
+            let err = s.put(b"x").expect_err("scheduled fault");
+            assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+            assert_eq!(s.inner().blob_count(), 0, "nothing reached the inner store");
+            // The retry (next invocation) succeeds.
+            s.put(b"x").expect("retry works");
+        }
     }
 
     #[test]
     fn permanent_get_fault_kills_the_blob_forever() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Get, 1, FaultKind::Permanent), 7);
-        let id = s.put(b"precious").expect("put");
-        assert_eq!(s.get(id).expect("first read ok"), b"precious");
-        assert!(s.get(id).is_err(), "scheduled permanent fault");
-        assert!(s.get(id).is_err(), "dead stays dead");
-        assert_eq!(s.ledger().count(FaultKind::Permanent), 2);
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Get, 1, FaultKind::Permanent), 7);
+            let id = s.put(b"precious").expect("put");
+            assert_eq!(s.get(id).expect("first read ok"), b"precious");
+            assert!(s.get(id).is_err(), "scheduled permanent fault");
+            assert!(s.get(id).is_err(), "dead stays dead");
+            assert_eq!(s.ledger().count(FaultKind::Permanent), 2);
+        }
     }
 
     #[test]
     fn bit_flip_corrupts_exactly_one_bit() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::BitFlip), 9);
-        let id = s.put(&[0u8; 64]).expect("put");
-        let corrupted = s.get(id).expect("bit flip still returns bytes");
-        let ones: u32 = corrupted.iter().map(|b| b.count_ones()).sum();
-        assert_eq!(ones, 1, "exactly one bit flipped");
-        assert_eq!(s.get(id).expect("clean read"), vec![0u8; 64]);
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::BitFlip), 9);
+            let id = s.put(&[0u8; 64]).expect("put");
+            let corrupted = s.get(id).expect("bit flip still returns bytes");
+            let ones: u32 = corrupted.iter().map(|b| b.count_ones()).sum();
+            assert_eq!(ones, 1, "exactly one bit flipped");
+            assert_eq!(s.get(id).expect("clean read"), vec![0u8; 64]);
+        }
     }
 
     #[test]
     fn short_write_stores_a_proper_prefix_and_errors() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::ShortWrite), 11);
-        assert!(s.put(&[7u8; 100]).is_err());
-        assert_eq!(s.inner().blob_count(), 1, "torn bytes landed in the store");
-        let torn = s.inner().get(0).expect("inner read");
-        assert!(torn.len() < 100, "a proper prefix, not the full payload");
-        assert!(torn.iter().all(|b| *b == 7));
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Put, 0, FaultKind::ShortWrite), 11);
+            assert!(s.put(&[7u8; 100]).is_err());
+            assert_eq!(s.inner().blob_count(), 1, "torn bytes landed in the store");
+            let torn = s.inner().get(0).expect("inner read");
+            assert!(torn.len() < 100, "a proper prefix, not the full payload");
+            assert!(torn.iter().all(|b| *b == 7));
+        }
     }
 
     #[test]
     fn fsync_lie_reports_ok_without_syncing() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Sync, 0, FaultKind::FsyncLie), 13);
-        s.sync().expect("the lie");
-        assert!(s.sync_lied());
-        assert_eq!(s.ledger().count(FaultKind::FsyncLie), 1);
-        s.sync().expect("real sync");
-        assert!(!s.sync_lied(), "a real sync clears the lie");
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Sync, 0, FaultKind::FsyncLie), 13);
+            s.sync().expect("the lie");
+            assert!(s.sync_lied());
+            assert_eq!(s.ledger().count(FaultKind::FsyncLie), 1);
+            s.sync().expect("real sync");
+            assert!(!s.sync_lied(), "a real sync clears the lie");
+        }
     }
 
     #[test]
     fn ledger_entries_carry_replay_coordinates_and_serialize() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Get, 1, FaultKind::Transient), 5);
-        let id = s.put(b"payload").expect("put");
-        let _ = s.get(id); // get #0: clean (first attempt of key `id`)
-        let _ = s.get(id); // get #1: scheduled transient
-        let ledger = s.ledger();
-        assert_eq!(ledger.total(), 1);
-        let f = ledger.injected[0];
-        assert_eq!((f.op, f.kind), (FaultOp::Get, FaultKind::Transient));
-        assert_eq!(f.key, id, "get key is the blob id");
-        assert_eq!(f.attempt, 1, "second draw of the same key");
-        let dbg = format!("{f:?}");
-        assert!(dbg.contains("key") && dbg.contains("attempt"), "{dbg}");
-        let j = ledger.to_json();
-        assert_eq!(j.get("gets").and_then(Json::as_i64), Some(2));
-        let Some(Json::Array(injected)) = j.get("injected") else {
-            panic!("injected array")
-        };
-        let entry = &injected[0];
-        assert_eq!(entry.get("attempt").and_then(Json::as_i64), Some(1));
-        assert_eq!(
-            entry.get("key").and_then(Json::as_str),
-            Some(format!("{id:#018x}").as_str())
-        );
-        // Round-trips through the parser.
-        Json::parse(&j.dump()).expect("ledger json parses");
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Get, 1, FaultKind::Transient), 5);
+            let id = s.put(b"payload").expect("put");
+            let _ = s.get(id); // get #0: clean (first attempt of key `id`)
+            let _ = s.get(id); // get #1: scheduled transient
+            let ledger = s.ledger();
+            assert_eq!(ledger.total(), 1);
+            let f = ledger.injected[0];
+            assert_eq!((f.op, f.kind), (FaultOp::Get, FaultKind::Transient));
+            assert_eq!(f.key, id, "get key is the blob id");
+            assert_eq!(f.attempt, 1, "second draw of the same key");
+            let dbg = format!("{f:?}");
+            assert!(dbg.contains("key") && dbg.contains("attempt"), "{dbg}");
+            let j = ledger.to_json();
+            assert_eq!(j.get("gets").and_then(Json::as_i64), Some(2));
+            let Some(Json::Array(injected)) = j.get("injected") else {
+                panic!("injected array")
+            };
+            let entry = &injected[0];
+            assert_eq!(entry.get("attempt").and_then(Json::as_i64), Some(1));
+            assert_eq!(
+                entry.get("key").and_then(Json::as_str),
+                Some(format!("{id:#018x}").as_str())
+            );
+            // Round-trips through the parser.
+            Json::parse(&j.dump()).expect("ledger json parses");
+        }
     }
 
     #[test]
     fn faulted_op_spans_link_to_their_ledger_entry() {
-        let mut s = faulty(
-            FaultPlan::none()
-                .schedule(FaultOp::Put, 0, FaultKind::Transient)
-                .schedule(FaultOp::Put, 1, FaultKind::ShortWrite),
-            5,
-        );
-        let trace = Trace::enabled();
-        s.attach_trace(&trace);
-        assert!(s.put(b"abcdefgh").is_err());
-        assert!(s.put(b"abcdefgh").is_err());
-        s.put(b"abcdefgh").expect("third attempt clean");
-        let spans = trace.spans();
-        let puts: Vec<_> = spans.iter().filter(|sp| sp.name == "fault.put").collect();
-        assert_eq!(puts.len(), 3);
-        let arg = |sp: &kishu_trace::SpanRecord, k: &str| {
-            sp.args.iter().find(|(a, _)| a == k).map(|(_, v)| v.clone())
-        };
-        // Faulted ops carry the fault kind + ledger index; the clean one
-        // carries neither, but all three carry key/attempt.
-        assert_eq!(arg(puts[0], "ledger").as_deref(), Some("0"));
-        assert_eq!(arg(puts[0], "fault").as_deref(), Some("Transient"));
-        assert_eq!(arg(puts[1], "ledger").as_deref(), Some("1"));
-        assert_eq!(arg(puts[1], "fault").as_deref(), Some("ShortWrite"));
-        assert_eq!(arg(puts[2], "ledger"), None);
-        for (i, sp) in puts.iter().enumerate() {
-            assert_eq!(arg(sp, "attempt").as_deref(), Some(i.to_string().as_str()));
-            assert!(arg(sp, "key").is_some());
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), 
+                FaultPlan::none()
+                    .schedule(FaultOp::Put, 0, FaultKind::Transient)
+                    .schedule(FaultOp::Put, 1, FaultKind::ShortWrite),
+                5,
+            );
+            let trace = Trace::enabled();
+            s.attach_trace(&trace);
+            assert!(s.put(b"abcdefgh").is_err());
+            assert!(s.put(b"abcdefgh").is_err());
+            s.put(b"abcdefgh").expect("third attempt clean");
+            let spans = trace.spans();
+            let puts: Vec<_> = spans.iter().filter(|sp| sp.name == "fault.put").collect();
+            assert_eq!(puts.len(), 3);
+            let arg = |sp: &kishu_trace::SpanRecord, k: &str| {
+                sp.args.iter().find(|(a, _)| a == k).map(|(_, v)| v.clone())
+            };
+            // Faulted ops carry the fault kind + ledger index; the clean one
+            // carries neither, but all three carry key/attempt.
+            assert_eq!(arg(puts[0], "ledger").as_deref(), Some("0"));
+            assert_eq!(arg(puts[0], "fault").as_deref(), Some("Transient"));
+            assert_eq!(arg(puts[1], "ledger").as_deref(), Some("1"));
+            assert_eq!(arg(puts[1], "fault").as_deref(), Some("ShortWrite"));
+            assert_eq!(arg(puts[2], "ledger"), None);
+            for (i, sp) in puts.iter().enumerate() {
+                assert_eq!(arg(sp, "attempt").as_deref(), Some(i.to_string().as_str()));
+                assert!(arg(sp, "key").is_some());
+            }
+            // The span annotations agree with the ledger they point into.
+            let ledger = s.ledger();
+            assert_eq!(ledger.injected[0].kind, FaultKind::Transient);
+            assert_eq!(ledger.injected[1].kind, FaultKind::ShortWrite);
         }
-        // The span annotations agree with the ledger they point into.
-        let ledger = s.ledger();
-        assert_eq!(ledger.injected[0].kind, FaultKind::Transient);
-        assert_eq!(ledger.injected[1].kind, FaultKind::ShortWrite);
     }
 
     #[test]
     fn scoped_draws_are_unperturbed_by_a_sibling_scope() {
-        // Tenant A's fault sequence for its own operations must be
-        // identical whether it runs alone or shares the fault state with a
-        // busy tenant B retrying the very same keys.
-        let scope_a = tenant_scope("alice");
-        let scope_b = tenant_scope("bob");
-        let payloads: Vec<Vec<u8>> = (0..30u8).map(|i| vec![i; 10 + i as usize]).collect();
-        let solo: Vec<bool> = {
-            let mut a = FaultStore::scoped(
-                Box::new(MemoryStore::new()),
-                FaultPlan::transient(0.3),
-                0xD1FF,
-                scope_a,
-            );
-            payloads.iter().map(|p| a.put(p).is_ok()).collect()
-        };
-        let interleaved: Vec<bool> = {
-            let a = FaultStore::scoped(
-                Box::new(MemoryStore::new()),
-                FaultPlan::transient(0.3),
-                0xD1FF,
-                scope_a,
-            );
-            let mut b = a.twin(Box::new(MemoryStore::new()), scope_b);
-            let mut a = a;
-            payloads
-                .iter()
-                .map(|p| {
-                    // B hammers the same payload (same op key!) first; its
-                    // retries must not advance A's attempt counters.
-                    for _ in 0..3 {
-                        let _ = b.put(p);
-                    }
-                    a.put(p).is_ok()
-                })
-                .collect()
-        };
-        assert_eq!(solo, interleaved, "sibling scope perturbed the draws");
-        assert!(solo.iter().any(|ok| !ok), "plan should fire at p=0.3");
-        assert!(solo.iter().any(|ok| *ok));
+        for cfg in each_chunk_config() {
+            // Tenant A's fault sequence for its own operations must be
+            // identical whether it runs alone or shares the fault state with a
+            // busy tenant B retrying the very same keys.
+            let scope_a = tenant_scope("alice");
+            let scope_b = tenant_scope("bob");
+            let payloads: Vec<Vec<u8>> = (0..30u8).map(|i| vec![i; 10 + i as usize]).collect();
+            let solo: Vec<bool> = {
+                let mut a = FaultStore::scoped(
+                    Box::new(MemoryStore::with_config(cfg.clone())),
+                    FaultPlan::transient(0.3),
+                    0xD1FF,
+                    scope_a,
+                );
+                payloads.iter().map(|p| a.put(p).is_ok()).collect()
+            };
+            let interleaved: Vec<bool> = {
+                let a = FaultStore::scoped(
+                    Box::new(MemoryStore::with_config(cfg.clone())),
+                    FaultPlan::transient(0.3),
+                    0xD1FF,
+                    scope_a,
+                );
+                let mut b = a.twin(Box::new(MemoryStore::with_config(cfg.clone())), scope_b);
+                let mut a = a;
+                payloads
+                    .iter()
+                    .map(|p| {
+                        // B hammers the same payload (same op key!) first; its
+                        // retries must not advance A's attempt counters.
+                        for _ in 0..3 {
+                            let _ = b.put(p);
+                        }
+                        a.put(p).is_ok()
+                    })
+                    .collect()
+            };
+            assert_eq!(solo, interleaved, "sibling scope perturbed the draws");
+            assert!(solo.iter().any(|ok| !ok), "plan should fire at p=0.3");
+            assert!(solo.iter().any(|ok| *ok));
+        }
     }
 
     #[test]
     fn scope_zero_is_bit_identical_to_legacy() {
-        // `new` (scope 0) and `scoped(.., 0)` agree; the scope field is the
-        // only addition to the ledger entries.
-        let run = |mk: &dyn Fn() -> FaultStore| {
-            let mut s = mk();
-            let mut outcomes = Vec::new();
-            for i in 0..40u64 {
-                outcomes.push(s.put(&[i as u8; 12]).is_ok());
-                outcomes.push(s.sync().is_ok());
-            }
-            (outcomes, s.ledger().injected)
-        };
-        let plan = FaultPlan::transient(0.25);
-        let (o1, l1) = run(&|| FaultStore::new(Box::new(MemoryStore::new()), plan.clone(), 77));
-        let (o2, l2) =
-            run(&|| FaultStore::scoped(Box::new(MemoryStore::new()), plan.clone(), 77, 0));
-        assert_eq!(o1, o2);
-        assert_eq!(l1, l2);
-        assert!(l1.iter().all(|f| f.scope == 0));
+        for cfg in each_chunk_config() {
+            // `new` (scope 0) and `scoped(.., 0)` agree; the scope field is the
+            // only addition to the ledger entries.
+            let run = |mk: &dyn Fn() -> FaultStore| {
+                let mut s = mk();
+                let mut outcomes = Vec::new();
+                for i in 0..40u64 {
+                    outcomes.push(s.put(&[i as u8; 12]).is_ok());
+                    outcomes.push(s.sync().is_ok());
+                }
+                (outcomes, s.ledger().injected)
+            };
+            let plan = FaultPlan::transient(0.25);
+            let (o1, l1) = run(&|| FaultStore::new(Box::new(MemoryStore::with_config(cfg.clone())), plan.clone(), 77));
+            let (o2, l2) =
+                run(&|| FaultStore::scoped(Box::new(MemoryStore::with_config(cfg.clone())), plan.clone(), 77, 0));
+            assert_eq!(o1, o2);
+            assert_eq!(l1, l2);
+            assert!(l1.iter().all(|f| f.scope == 0));
+        }
     }
 
     #[test]
     fn scoped_ledger_snapshots_project_one_tenant() {
-        let scope_a = tenant_scope("alice");
-        let scope_b = tenant_scope("bob");
-        assert_ne!(scope_a, scope_b);
-        assert_ne!(scope_a, 0, "tenant scopes never collide with legacy 0");
-        let a = FaultStore::scoped(
-            Box::new(MemoryStore::new()),
-            FaultPlan::none()
-                .schedule(FaultOp::Put, 1, FaultKind::Transient),
-            3,
-            scope_a,
-        );
-        let handle = a.ledger_handle();
-        let mut b = a.twin(Box::new(MemoryStore::new()), scope_b);
-        let mut a = a;
-        a.put(b"one").expect("a put 0 clean");
-        b.put(b"one").expect("b put 0 clean");
-        // Each tenant's *own* second put hits the scheduled fault: the
-        // schedule indexes per-scope op counts, not a global stream.
-        assert!(a.put(b"two").is_err(), "a's put #1 faults");
-        assert!(b.put(b"two").is_err(), "b's put #1 faults");
-        b.put(b"three").expect("b put 2 clean");
-        let la = handle.snapshot_scoped(scope_a);
-        let lb = handle.snapshot_scoped(scope_b);
-        assert_eq!((la.puts, la.total()), (2, 1));
-        assert_eq!((lb.puts, lb.total()), (3, 1));
-        assert!(la.injected.iter().all(|f| f.scope == scope_a));
-        assert!(lb.injected.iter().all(|f| f.scope == scope_b));
-        assert_eq!(la.injected[0].op_index, 1);
-        assert_eq!(lb.injected[0].op_index, 1);
-        // The combined ledger holds both, and its counts are the totals.
-        let all = handle.snapshot();
-        assert_eq!((all.puts, all.total()), (5, 2));
+        for cfg in each_chunk_config() {
+            let scope_a = tenant_scope("alice");
+            let scope_b = tenant_scope("bob");
+            assert_ne!(scope_a, scope_b);
+            assert_ne!(scope_a, 0, "tenant scopes never collide with legacy 0");
+            let a = FaultStore::scoped(
+                Box::new(MemoryStore::with_config(cfg.clone())),
+                FaultPlan::none()
+                    .schedule(FaultOp::Put, 1, FaultKind::Transient),
+                3,
+                scope_a,
+            );
+            let handle = a.ledger_handle();
+            let mut b = a.twin(Box::new(MemoryStore::with_config(cfg.clone())), scope_b);
+            let mut a = a;
+            a.put(b"one").expect("a put 0 clean");
+            b.put(b"one").expect("b put 0 clean");
+            // Each tenant's *own* second put hits the scheduled fault: the
+            // schedule indexes per-scope op counts, not a global stream.
+            assert!(a.put(b"two").is_err(), "a's put #1 faults");
+            assert!(b.put(b"two").is_err(), "b's put #1 faults");
+            b.put(b"three").expect("b put 2 clean");
+            let la = handle.snapshot_scoped(scope_a);
+            let lb = handle.snapshot_scoped(scope_b);
+            assert_eq!((la.puts, la.total()), (2, 1));
+            assert_eq!((lb.puts, lb.total()), (3, 1));
+            assert!(la.injected.iter().all(|f| f.scope == scope_a));
+            assert!(lb.injected.iter().all(|f| f.scope == scope_b));
+            assert_eq!(la.injected[0].op_index, 1);
+            assert_eq!(lb.injected[0].op_index, 1);
+            // The combined ledger holds both, and its counts are the totals.
+            let all = handle.snapshot();
+            assert_eq!((all.puts, all.total()), (5, 2));
+        }
     }
 
     #[test]
     fn permanent_blob_death_is_per_scope() {
-        // A permanent get fault in one scope must not kill the same blob id
-        // for a sibling scope.
-        let scope_a = tenant_scope("alice");
-        let a = FaultStore::scoped(
-            Box::new(MemoryStore::new()),
-            FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::Permanent),
-            5,
-            scope_a,
-        );
-        let mut b = a.twin(Box::new(MemoryStore::new()), tenant_scope("bob"));
-        let mut a = a;
-        let ia = a.put(b"x").expect("a put");
-        let ib = b.put(b"x").expect("b put");
-        assert!(a.get(ia).is_err(), "a's scheduled permanent fault");
-        assert!(a.get(ia).is_err(), "dead stays dead for a");
-        assert!(b.get(ib).is_err(), "b's own get #0 is also scheduled");
-        assert!(b.get(ib).is_err(), "and dead stays dead for b");
-        // But a fresh blob in scope b is unaffected by a's dead set.
-        let ib2 = b.put(b"y").expect("b put 2");
-        assert_eq!(b.get(ib2).expect("live"), b"y");
+        for cfg in each_chunk_config() {
+            // A permanent get fault in one scope must not kill the same blob id
+            // for a sibling scope.
+            let scope_a = tenant_scope("alice");
+            let a = FaultStore::scoped(
+                Box::new(MemoryStore::with_config(cfg.clone())),
+                FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::Permanent),
+                5,
+                scope_a,
+            );
+            let mut b = a.twin(Box::new(MemoryStore::with_config(cfg.clone())), tenant_scope("bob"));
+            let mut a = a;
+            let ia = a.put(b"x").expect("a put");
+            let ib = b.put(b"x").expect("b put");
+            assert!(a.get(ia).is_err(), "a's scheduled permanent fault");
+            assert!(a.get(ia).is_err(), "dead stays dead for a");
+            assert!(b.get(ib).is_err(), "b's own get #0 is also scheduled");
+            assert!(b.get(ib).is_err(), "and dead stays dead for b");
+            // But a fresh blob in scope b is unaffected by a's dead set.
+            let ib2 = b.put(b"y").expect("b put 2");
+            assert_eq!(b.get(ib2).expect("live"), b"y");
+        }
     }
 
     #[test]
     fn integrity_sweep_sees_through_the_fault_layer() {
-        let mut s = faulty(FaultPlan::none().schedule(FaultOp::Get, 2, FaultKind::Permanent), 17);
-        let a = s.put(b"a").expect("put");
-        let b = s.put(b"b").expect("put");
-        let _ = s.get(a); // ok (get #0)
-        let _ = s.get(b); // ok (get #1)
-        let _ = s.get(a); // permanent fault (get #2): a is dead now
-        let report = s.integrity_sweep();
-        assert_eq!(report.unreadable, vec![a]);
-        assert_eq!(report.readable, 1);
+        for cfg in each_chunk_config() {
+            let mut s = faulty(cfg.clone(), FaultPlan::none().schedule(FaultOp::Get, 2, FaultKind::Permanent), 17);
+            let a = s.put(b"a").expect("put");
+            let b = s.put(b"b").expect("put");
+            let _ = s.get(a); // ok (get #0)
+            let _ = s.get(b); // ok (get #1)
+            let _ = s.get(a); // permanent fault (get #2): a is dead now
+            let report = s.integrity_sweep();
+            assert_eq!(report.unreadable, vec![a]);
+            assert_eq!(report.readable, 1);
+        }
     }
 }

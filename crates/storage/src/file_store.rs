@@ -44,9 +44,9 @@ pub(crate) fn open_file(path: &Path, create: bool) -> io::Result<File> {
 
 impl FileStore {
     /// Create a new, empty log at `path` (truncating any existing file),
-    /// with chunking configured from the environment.
+    /// with the default chunking configuration.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::create_with(path, ChunkConfig::from_env())
+        Self::create_with(path, ChunkConfig::default())
     }
 
     /// Create with an explicit chunking configuration.
@@ -56,8 +56,9 @@ impl FileStore {
 
     /// Open an existing log, recovering its index by scanning. A torn or
     /// corrupt tail is truncated away; everything before it stays readable.
+    /// New puts use the default chunking configuration.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, ChunkConfig::from_env())
+        Self::open_with(path, ChunkConfig::default())
     }
 
     /// Open with an explicit chunking configuration, which governs only
@@ -71,6 +72,7 @@ impl FileStore {
 mod tests {
     use super::*;
     use crate::crc32::crc32;
+    use crate::each_chunk_config;
     use crate::record_log::{HEADER_LEN, MARKER_CHUNK, MARKER_MANIFEST, MARKER_V1};
     use crate::CheckpointStore;
     use kishu_testkit::hash::xxh64;
@@ -86,69 +88,75 @@ mod tests {
 
     #[test]
     fn roundtrip_and_reopen() {
-        let path = temp_path("reopen.log");
-        {
-            let mut s = FileStore::create(&path).expect("create");
-            s.put(b"one").expect("put");
-            s.put(b"two").expect("put");
-            s.sync().expect("sync");
+        for cfg in each_chunk_config() {
+            let path = temp_path("reopen.log");
+            {
+                let mut s = FileStore::create_with(&path, cfg.clone()).expect("create");
+                s.put(b"one").expect("put");
+                s.put(b"two").expect("put");
+                s.sync().expect("sync");
+            }
+            let s = FileStore::open_with(&path, cfg.clone()).expect("open");
+            assert_eq!(s.blob_count(), 2);
+            assert_eq!(s.get(0).expect("get"), b"one");
+            assert_eq!(s.get(1).expect("get"), b"two");
+            std::fs::remove_file(&path).ok();
         }
-        let s = FileStore::open(&path).expect("open");
-        assert_eq!(s.blob_count(), 2);
-        assert_eq!(s.get(0).expect("get"), b"one");
-        assert_eq!(s.get(1).expect("get"), b"two");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_tail_is_recovered() {
-        let path = temp_path("torn.log");
-        {
-            // Chunking off so the 5000-byte record is a single v1 frame
-            // whose tail tear removes exactly one blob.
-            let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
-            s.put(b"intact-record").expect("put");
-            s.put(&vec![9u8; 5000]).expect("put");
-            s.sync().expect("sync");
-        }
-        // Tear the tail: chop 100 bytes off the last record.
-        let len = std::fs::metadata(&path).expect("meta").len();
-        let f = OpenOptions::new().write(true).open(&path).expect("open raw");
-        f.set_len(len - 100).expect("truncate");
-        drop(f);
+        for cfg in each_chunk_config() {
+            let path = temp_path("torn.log");
+            {
+                // Chunking off so the 5000-byte record is a single v1 frame
+                // whose tail tear removes exactly one blob.
+                let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
+                s.put(b"intact-record").expect("put");
+                s.put(&vec![9u8; 5000]).expect("put");
+                s.sync().expect("sync");
+            }
+            // Tear the tail: chop 100 bytes off the last record.
+            let len = std::fs::metadata(&path).expect("meta").len();
+            let f = OpenOptions::new().write(true).open(&path).expect("open raw");
+            f.set_len(len - 100).expect("truncate");
+            drop(f);
 
-        let mut s = FileStore::open(&path).expect("recover");
-        assert_eq!(s.blob_count(), 1, "only the intact record survives");
-        assert_eq!(s.get(0).expect("get"), b"intact-record");
-        // Appends after recovery work.
-        let id = s.put(b"after-recovery").expect("put");
-        assert_eq!(s.get(id).expect("get"), b"after-recovery");
-        std::fs::remove_file(&path).ok();
+            let mut s = FileStore::open_with(&path, cfg.clone()).expect("recover");
+            assert_eq!(s.blob_count(), 1, "only the intact record survives");
+            assert_eq!(s.get(0).expect("get"), b"intact-record");
+            // Appends after recovery work.
+            let id = s.put(b"after-recovery").expect("put");
+            assert_eq!(s.get(id).expect("get"), b"after-recovery");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
     fn corrupted_payload_is_detected() {
-        let path = temp_path("corrupt.log");
-        {
-            let mut s = FileStore::create(&path).expect("create");
-            s.put(b"precious-data").expect("put");
-            s.sync().expect("sync");
-        }
-        // 13 bytes stay one v1 record, the first in the file.
-        let off = HEADER_LEN;
-        // Flip a payload byte on disk.
-        let mut f = OpenOptions::new().read(true).write(true).open(&path).expect("raw");
-        f.seek(SeekFrom::Start(off + 2)).expect("seek");
-        f.write_all(&[0xFF]).expect("write");
-        drop(f);
+        for cfg in each_chunk_config() {
+            let path = temp_path("corrupt.log");
+            {
+                let mut s = FileStore::create_with(&path, cfg.clone()).expect("create");
+                s.put(b"precious-data").expect("put");
+                s.sync().expect("sync");
+            }
+            // 13 bytes stay one v1 record, the first in the file.
+            let off = HEADER_LEN;
+            // Flip a payload byte on disk.
+            let mut f = OpenOptions::new().read(true).write(true).open(&path).expect("raw");
+            f.seek(SeekFrom::Start(off + 2)).expect("seek");
+            f.write_all(&[0xFF]).expect("write");
+            drop(f);
 
-        // A live handle (index built before corruption) must detect it.
-        let s = FileStore::open(&path);
-        if let Ok(s) = s {
-            // If recovery kept it (it shouldn't), reading must fail.
-            assert!(s.blob_count() == 0 || s.get(0).is_err());
+            // A live handle (index built before corruption) must detect it.
+            let s = FileStore::open_with(&path, cfg.clone());
+            if let Ok(s) = s {
+                // If recovery kept it (it shouldn't), reading must fail.
+                assert!(s.blob_count() == 0 || s.get(0).is_err());
+            }
+            std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -185,32 +193,36 @@ mod tests {
 
     #[test]
     fn garbage_marker_stops_recovery() {
-        let path = temp_path("garbage.log");
-        {
-            let mut s = FileStore::create(&path).expect("create");
-            s.put(b"good").expect("put");
-            s.sync().expect("sync");
+        for cfg in each_chunk_config() {
+            let path = temp_path("garbage.log");
+            {
+                let mut s = FileStore::create_with(&path, cfg.clone()).expect("create");
+                s.put(b"good").expect("put");
+                s.sync().expect("sync");
+            }
+            // Append garbage that does not start with any record marker.
+            let mut f = OpenOptions::new().append(true).open(&path).expect("raw");
+            f.write_all(&[0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09])
+                .expect("write");
+            drop(f);
+            let s = FileStore::open_with(&path, cfg.clone()).expect("recover");
+            assert_eq!(s.blob_count(), 1);
+            assert_eq!(s.get(0).expect("get"), b"good");
+            std::fs::remove_file(&path).ok();
         }
-        // Append garbage that does not start with any record marker.
-        let mut f = OpenOptions::new().append(true).open(&path).expect("raw");
-        f.write_all(&[0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09])
-            .expect("write");
-        drop(f);
-        let s = FileStore::open(&path).expect("recover");
-        assert_eq!(s.blob_count(), 1);
-        assert_eq!(s.get(0).expect("get"), b"good");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn physical_bytes_include_framing() {
-        let path = temp_path("framing.log");
-        let mut s = FileStore::create(&path).expect("create");
-        s.put(&[0u8; 100]).expect("put");
-        let st = s.stats();
-        assert_eq!(st.payload_bytes, 100);
-        assert_eq!(st.physical_bytes, 100 + HEADER_LEN, "sub-minimum payloads stay v1");
-        std::fs::remove_file(&path).ok();
+        for cfg in each_chunk_config() {
+            let path = temp_path("framing.log");
+            let mut s = FileStore::create_with(&path, cfg.clone()).expect("create");
+            s.put(&[0u8; 100]).expect("put");
+            let st = s.stats();
+            assert_eq!(st.payload_bytes, 100);
+            assert_eq!(st.physical_bytes, 100 + HEADER_LEN, "sub-minimum payloads stay v1");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -233,9 +245,8 @@ mod tests {
             assert_eq!(s.get(1).expect("get"), edited);
             s.sync().expect("sync");
         }
-        // Reopen with the config pinned (plain `open` reads the env, and
-        // the KISHU_CHUNKING=0 CI matrix leg must not flip this test's
-        // post-reopen puts onto the v1 path).
+        // Reopen with the config pinned: the dedup assertions below need
+        // post-reopen puts on the chunked path.
         let s = FileStore::open_with(&path, ChunkConfig::default()).expect("reopen");
         assert_eq!(s.blob_count(), 2);
         assert_eq!(s.get(0).expect("get"), big);
@@ -252,7 +263,7 @@ mod tests {
 
     #[test]
     fn kill_switch_writes_bit_identical_v1_frames() {
-        // KISHU_CHUNKING=0 contract: the log bytes with chunking disabled
+        // Kill-switch contract: the log bytes with chunking disabled
         // are exactly the v1 format, record for record.
         let payloads: Vec<Vec<u8>> = vec![
             vec![1u8; 10],
@@ -345,28 +356,30 @@ mod tests {
 
     #[test]
     fn group_commit_buffer_survives_barrier_and_drop() {
-        let path = temp_path("gcommit.log");
-        let payload = vec![5u8; 300];
-        {
-            let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
-            s.set_sync_on_put(true);
-            s.put(&payload).expect("put");
-            // Buffered: the file is still empty, but reads work.
-            assert_eq!(std::fs::metadata(&path).expect("meta").len(), 0);
+        for cfg in each_chunk_config() {
+            let path = temp_path("gcommit.log");
+            let payload = vec![5u8; 300];
+            {
+                let mut s = FileStore::create_with(&path, ChunkConfig::disabled()).expect("create");
+                s.set_sync_on_put(true);
+                s.put(&payload).expect("put");
+                // Buffered: the file is still empty, but reads work.
+                assert_eq!(std::fs::metadata(&path).expect("meta").len(), 0);
+                assert_eq!(s.get(0).expect("get"), payload);
+                s.flush_barrier().expect("barrier");
+                assert_eq!(
+                    std::fs::metadata(&path).expect("meta").len(),
+                    HEADER_LEN + payload.len() as u64
+                );
+                s.put(b"tail").expect("put");
+                // Dropped without sync: Drop flushes best-effort.
+            }
+            let s = FileStore::open_with(&path, cfg.clone()).expect("open");
+            assert_eq!(s.blob_count(), 2);
             assert_eq!(s.get(0).expect("get"), payload);
-            s.flush_barrier().expect("barrier");
-            assert_eq!(
-                std::fs::metadata(&path).expect("meta").len(),
-                HEADER_LEN + payload.len() as u64
-            );
-            s.put(b"tail").expect("put");
-            // Dropped without sync: Drop flushes best-effort.
+            assert_eq!(s.get(1).expect("get"), b"tail");
+            std::fs::remove_file(&path).ok();
         }
-        let s = FileStore::open(&path).expect("open");
-        assert_eq!(s.blob_count(), 2);
-        assert_eq!(s.get(0).expect("get"), payload);
-        assert_eq!(s.get(1).expect("get"), b"tail");
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -387,18 +400,20 @@ mod proptests {
             let dir = std::env::temp_dir().join(format!("kishu-fsprop-{}", std::process::id()));
             std::fs::create_dir_all(&dir).expect("mkdir");
             let path = dir.join(format!("p{}.log", crc32(&blobs.concat())));
-            let _ = std::fs::remove_file(&path);
-            {
-                let mut s = FileStore::create(&path).expect("create");
-                for b in &blobs {
-                    s.put(b).expect("put");
+            for cfg in crate::each_chunk_config() {
+                let _ = std::fs::remove_file(&path);
+                {
+                    let mut s = FileStore::create_with(&path, cfg.clone()).expect("create");
+                    for b in &blobs {
+                        s.put(b).expect("put");
+                    }
+                    s.sync().expect("sync");
                 }
-                s.sync().expect("sync");
-            }
-            let s = FileStore::open(&path).expect("open");
-            prop_assert_eq!(s.blob_count(), blobs.len() as u64);
-            for (i, b) in blobs.iter().enumerate() {
-                prop_assert_eq!(&s.get(i as u64).expect("get"), b);
+                let s = FileStore::open_with(&path, cfg).expect("open");
+                prop_assert_eq!(s.blob_count(), blobs.len() as u64);
+                for (i, b) in blobs.iter().enumerate() {
+                    prop_assert_eq!(&s.get(i as u64).expect("get"), b);
+                }
             }
             std::fs::remove_file(&path).ok();
         }

@@ -287,6 +287,7 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::each_chunk_config;
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -302,107 +303,115 @@ mod tests {
 
     #[test]
     fn unreferenced_blobs_are_fully_reclaimed() {
-        let store = SharedStore::in_memory();
-        let mut a = store.tenant("a").expect("tenant");
-        let mut b = store.tenant("b").expect("tenant");
-        a.put(b"a's live payload").expect("put"); // a/0: live
-        a.put(b"a's dead payload").expect("put"); // a/1: dead
-        b.put(b"a's live payload").expect("put"); // b/0: dead, but shares a/0's phys
-        b.put(b"b's own live payload").expect("put"); // b/1: live
-        let r = store.collect(&live(&[("a", &[0]), ("b", &[1])])).expect("gc");
-        assert_eq!(r.live_blobs, 2);
-        assert_eq!(r.reclaimed_blobs, 1, "only 'a's dead payload' became unreferenced");
-        assert_eq!(r.reclaimed_payload_bytes, b"a's dead payload".len() as u64);
-        assert_eq!(r.generation, 1);
-        assert!(r.physical_after < r.physical_before);
-        // Live blobs read back under unchanged tenant ids.
-        assert_eq!(a.get(0).expect("get"), b"a's live payload");
-        assert_eq!(b.get(1).expect("get"), b"b's own live payload");
-        // Reclaimed ids are tombstones, not reused.
-        assert_eq!(a.get(1).expect_err("dead").kind(), io::ErrorKind::NotFound);
-        assert_eq!(b.get(0).expect_err("dead").kind(), io::ErrorKind::NotFound);
-        assert_eq!(a.blob_count(), 2, "ids stay dense");
-        store.check_invariants(true).expect("invariants");
-        // New writes go to fresh ids.
-        assert_eq!(a.put(b"post-gc").expect("put"), 2);
-        assert_eq!(a.get(2).expect("get"), b"post-gc");
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let mut a = store.tenant("a").expect("tenant");
+            let mut b = store.tenant("b").expect("tenant");
+            a.put(b"a's live payload").expect("put"); // a/0: live
+            a.put(b"a's dead payload").expect("put"); // a/1: dead
+            b.put(b"a's live payload").expect("put"); // b/0: dead, but shares a/0's phys
+            b.put(b"b's own live payload").expect("put"); // b/1: live
+            let r = store.collect(&live(&[("a", &[0]), ("b", &[1])])).expect("gc");
+            assert_eq!(r.live_blobs, 2);
+            assert_eq!(r.reclaimed_blobs, 1, "only 'a's dead payload' became unreferenced");
+            assert_eq!(r.reclaimed_payload_bytes, b"a's dead payload".len() as u64);
+            assert_eq!(r.generation, 1);
+            assert!(r.physical_after < r.physical_before);
+            // Live blobs read back under unchanged tenant ids.
+            assert_eq!(a.get(0).expect("get"), b"a's live payload");
+            assert_eq!(b.get(1).expect("get"), b"b's own live payload");
+            // Reclaimed ids are tombstones, not reused.
+            assert_eq!(a.get(1).expect_err("dead").kind(), io::ErrorKind::NotFound);
+            assert_eq!(b.get(0).expect_err("dead").kind(), io::ErrorKind::NotFound);
+            assert_eq!(a.blob_count(), 2, "ids stay dense");
+            store.check_invariants(true).expect("invariants");
+            // New writes go to fresh ids.
+            assert_eq!(a.put(b"post-gc").expect("put"), 2);
+            assert_eq!(a.get(2).expect("get"), b"post-gc");
+        }
     }
 
     #[test]
     fn gc_never_reclaims_a_blob_any_tenant_reaches() {
-        let store = SharedStore::in_memory();
-        let mut a = store.tenant("a").expect("tenant");
-        let mut b = store.tenant("b").expect("tenant");
-        let shared = vec![7u8; 2000];
-        a.put(&shared).expect("put");
-        b.put(&shared).expect("put");
-        // a drops it; b still reaches it.
-        let r = store.collect(&live(&[("a", &[]), ("b", &[0])])).expect("gc");
-        assert_eq!(r.reclaimed_blobs, 0, "b's reference keeps the payload");
-        assert_eq!(b.get(0).expect("get"), shared);
-        // Now b drops it too.
-        let r = store.collect(&live(&[("a", &[]), ("b", &[])])).expect("gc");
-        assert_eq!(r.reclaimed_blobs, 1);
-        assert_eq!(r.physical_after, 0);
-        store.check_invariants(true).expect("invariants");
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let mut a = store.tenant("a").expect("tenant");
+            let mut b = store.tenant("b").expect("tenant");
+            let shared = vec![7u8; 2000];
+            a.put(&shared).expect("put");
+            b.put(&shared).expect("put");
+            // a drops it; b still reaches it.
+            let r = store.collect(&live(&[("a", &[]), ("b", &[0])])).expect("gc");
+            assert_eq!(r.reclaimed_blobs, 0, "b's reference keeps the payload");
+            assert_eq!(b.get(0).expect("get"), shared);
+            // Now b drops it too.
+            let r = store.collect(&live(&[("a", &[]), ("b", &[])])).expect("gc");
+            assert_eq!(r.reclaimed_blobs, 1);
+            assert_eq!(r.physical_after, 0);
+            store.check_invariants(true).expect("invariants");
+        }
     }
 
     #[test]
     fn live_sets_must_cover_every_tenant_exactly() {
-        let store = SharedStore::in_memory();
-        let mut a = store.tenant("a").expect("tenant");
-        store.tenant("b").expect("tenant");
-        a.put(b"x").expect("put");
-        let err = store.collect(&live(&[("a", &[0])])).expect_err("b missing");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let err = store
-            .collect(&live(&[("a", &[0]), ("b", &[]), ("ghost", &[])]))
-            .expect_err("ghost unregistered");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        // Nothing was mutated by the failed attempts.
-        assert_eq!(store.generation(), 0);
-        assert_eq!(a.get(0).expect("get"), b"x");
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let mut a = store.tenant("a").expect("tenant");
+            store.tenant("b").expect("tenant");
+            a.put(b"x").expect("put");
+            let err = store.collect(&live(&[("a", &[0])])).expect_err("b missing");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let err = store
+                .collect(&live(&[("a", &[0]), ("b", &[]), ("ghost", &[])]))
+                .expect_err("ghost unregistered");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            // Nothing was mutated by the failed attempts.
+            assert_eq!(store.generation(), 0);
+            assert_eq!(a.get(0).expect("get"), b"x");
+        }
     }
 
     #[test]
     fn file_backed_gc_commits_a_new_generation_and_reopens() {
-        let dir = temp_dir("commit");
-        {
-            let store = SharedStore::create(&dir).expect("create");
-            let mut a = store.tenant("a").expect("tenant");
-            for i in 0..20u32 {
-                a.put(format!("payload {i} {}", "x".repeat(50)).as_bytes()).expect("put");
+        for cfg in each_chunk_config() {
+            let dir = temp_dir("commit");
+            {
+                let store = SharedStore::create_with(&dir, cfg.clone()).expect("create");
+                let mut a = store.tenant("a").expect("tenant");
+                for i in 0..20u32 {
+                    a.put(format!("payload {i} {}", "x".repeat(50)).as_bytes()).expect("put");
+                }
+                store.sync_all().expect("sync");
+                let keep: Vec<u64> = (0..20).filter(|i| i % 3 == 0).collect();
+                let r = store.collect(&live(&[("a", &keep)])).expect("gc");
+                assert_eq!(r.live_blobs, 7);
+                assert_eq!(r.reclaimed_blobs, 13);
+                assert_eq!(store.generation(), 1);
+                // Post-GC, the live store keeps serving and accepting writes.
+                for i in keep {
+                    assert!(String::from_utf8(a.get(i).expect("get")).expect("utf8")
+                        .starts_with(&format!("payload {i} ")));
+                }
+                a.put(b"after gc").expect("put");
+                store.sync_all().expect("sync");
             }
-            store.sync_all().expect("sync");
-            let keep: Vec<u64> = (0..20).filter(|i| i % 3 == 0).collect();
-            let r = store.collect(&live(&[("a", &keep)])).expect("gc");
-            assert_eq!(r.live_blobs, 7);
-            assert_eq!(r.reclaimed_blobs, 13);
+            // Reopen from disk: generation 1 files, old generation swept.
+            let store = SharedStore::open(&dir).expect("open");
             assert_eq!(store.generation(), 1);
-            // Post-GC, the live store keeps serving and accepting writes.
-            for i in keep {
-                assert!(String::from_utf8(a.get(i).expect("get")).expect("utf8")
-                    .starts_with(&format!("payload {i} ")));
-            }
-            a.put(b"after gc").expect("put");
-            store.sync_all().expect("sync");
+            let a = store.tenant("a").expect("tenant");
+            assert_eq!(a.blob_count(), 21);
+            assert!(a.get(0).expect("get").starts_with(b"payload 0 "));
+            assert_eq!(a.get(20).expect("get"), b"after gc");
+            assert_eq!(a.get(1).expect_err("reclaimed").kind(), io::ErrorKind::NotFound);
+            store.check_invariants(true).expect("invariants");
+            let old_files: Vec<_> = std::fs::read_dir(&dir)
+                .expect("read dir")
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().contains(".g0."))
+                .collect();
+            assert!(old_files.is_empty(), "old generation files were deleted");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // Reopen from disk: generation 1 files, old generation swept.
-        let store = SharedStore::open(&dir).expect("open");
-        assert_eq!(store.generation(), 1);
-        let a = store.tenant("a").expect("tenant");
-        assert_eq!(a.blob_count(), 21);
-        assert!(a.get(0).expect("get").starts_with(b"payload 0 "));
-        assert_eq!(a.get(20).expect("get"), b"after gc");
-        assert_eq!(a.get(1).expect_err("reclaimed").kind(), io::ErrorKind::NotFound);
-        store.check_invariants(true).expect("invariants");
-        let old_files: Vec<_> = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().contains(".g0."))
-            .collect();
-        assert!(old_files.is_empty(), "old generation files were deleted");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Deterministic ~150 KB payload that chunks into many spans; `tweak`
@@ -529,36 +538,40 @@ mod tests {
 
     #[test]
     fn crash_budget_zero_aborts_before_any_commit() {
-        let dir = temp_dir("crash0");
-        let store = SharedStore::create(&dir).expect("create");
-        let mut a = store.tenant("a").expect("tenant");
-        a.put(b"keep me").expect("put");
-        a.put(b"reclaim me").expect("put");
-        store.sync_all().expect("sync");
-        store.set_crash_after_bytes(Some(0));
-        let err = store.collect(&live(&[("a", &[0])])).expect_err("crash");
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        // The store on disk is untouched: reopen sees generation 0, both
-        // blobs intact.
-        let reopened = SharedStore::open(&dir).expect("open");
-        assert_eq!(reopened.generation(), 0);
-        let a = reopened.tenant("a").expect("tenant");
-        assert_eq!(a.get(0).expect("get"), b"keep me");
-        assert_eq!(a.get(1).expect("get"), b"reclaim me");
-        std::fs::remove_dir_all(&dir).ok();
+        for cfg in each_chunk_config() {
+            let dir = temp_dir("crash0");
+            let store = SharedStore::create_with(&dir, cfg.clone()).expect("create");
+            let mut a = store.tenant("a").expect("tenant");
+            a.put(b"keep me").expect("put");
+            a.put(b"reclaim me").expect("put");
+            store.sync_all().expect("sync");
+            store.set_crash_after_bytes(Some(0));
+            let err = store.collect(&live(&[("a", &[0])])).expect_err("crash");
+            assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+            // The store on disk is untouched: reopen sees generation 0, both
+            // blobs intact.
+            let reopened = SharedStore::open(&dir).expect("open");
+            assert_eq!(reopened.generation(), 0);
+            let a = reopened.tenant("a").expect("tenant");
+            assert_eq!(a.get(0).expect("get"), b"keep me");
+            assert_eq!(a.get(1).expect("get"), b"reclaim me");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn gc_spans_cover_every_phase() {
-        let store = SharedStore::in_memory();
-        let trace = kishu_trace::Trace::enabled();
-        store.attach_trace(&trace);
-        let mut a = store.tenant("a").expect("tenant");
-        a.put(b"x").expect("put");
-        store.collect(&live(&[("a", &[])])).expect("gc");
-        let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
-        for phase in ["gc.mark", "gc.sweep", "gc.commit"] {
-            assert!(names.iter().any(|n| n == phase), "missing span {phase}: {names:?}");
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let trace = kishu_trace::Trace::enabled();
+            store.attach_trace(&trace);
+            let mut a = store.tenant("a").expect("tenant");
+            a.put(b"x").expect("put");
+            store.collect(&live(&[("a", &[])])).expect("gc");
+            let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
+            for phase in ["gc.mark", "gc.sweep", "gc.commit"] {
+                assert!(names.iter().any(|n| n == phase), "missing span {phase}: {names:?}");
+            }
         }
     }
 

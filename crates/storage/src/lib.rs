@@ -207,6 +207,14 @@ impl IntegrityReport {
     }
 }
 
+/// Both store representations: chunked v2 (the default) and v1 frames.
+/// In-crate tests that would otherwise take a default constructor run on
+/// each, so every test pass covers the v1 arm too.
+#[cfg(test)]
+pub(crate) fn each_chunk_config() -> [ChunkConfig; 2] {
+    [ChunkConfig::default(), ChunkConfig::disabled()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,8 +239,9 @@ mod tests {
 
     #[test]
     fn memory_store_contract() {
-        let mut s = MemoryStore::new();
-        exercise(&mut s);
+        for cfg in each_chunk_config() {
+            exercise(&mut MemoryStore::with_config(cfg));
+        }
     }
 
     #[test]
@@ -240,9 +249,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kishu-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("contract.log");
-        let _ = std::fs::remove_file(&path);
-        let mut s = FileStore::create(&path).expect("create");
-        exercise(&mut s);
+        for cfg in each_chunk_config() {
+            exercise(&mut FileStore::create_with(&path, cfg).expect("create"));
+        }
         std::fs::remove_file(&path).ok();
     }
 }

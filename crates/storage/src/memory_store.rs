@@ -49,9 +49,9 @@ impl Default for MemoryStore {
 }
 
 impl MemoryStore {
-    /// Empty store with the environment's chunking configuration.
+    /// Empty store with the default chunking configuration.
     pub fn new() -> Self {
-        Self::with_config(ChunkConfig::from_env())
+        Self::with_config(ChunkConfig::default())
     }
 
     /// Empty store with an explicit chunking configuration.
@@ -63,21 +63,25 @@ impl MemoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CheckpointStore;
+    use crate::{each_chunk_config, CheckpointStore};
 
     #[test]
     fn ids_are_dense_and_ordered() {
-        let mut s = MemoryStore::new();
-        assert_eq!(s.put(b"a").expect("put"), 0);
-        assert_eq!(s.put(b"b").expect("put"), 1);
-        assert_eq!(s.get(1).expect("get"), b"b");
+        for cfg in each_chunk_config() {
+            let mut s = MemoryStore::with_config(cfg);
+            assert_eq!(s.put(b"a").expect("put"), 0);
+            assert_eq!(s.put(b"b").expect("put"), 1);
+            assert_eq!(s.get(1).expect("get"), b"b");
+        }
     }
 
     #[test]
     fn missing_blob_is_not_found() {
-        let s = MemoryStore::new();
-        let err = s.get(3).expect_err("missing");
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        for cfg in each_chunk_config() {
+            let s = MemoryStore::with_config(cfg);
+            let err = s.get(3).expect_err("missing");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! Three markers share the framing (storage engine v2):
 //!
 //! * `0x4B` ('K') — a **v1 blob**: the payload is the logical blob verbatim.
-//!   The only record type with chunking off (`KISHU_CHUNKING=0` produces
-//!   bit-identical v1 logs), and still what sub-minimum payloads write.
+//!   The only record type with chunking off ([`ChunkConfig::disabled`]
+//!   produces bit-identical v1 logs), and still what sub-minimum payloads
+//!   write.
 //! * `0x43` ('C') — a **chunk**: the payload is a stored-form chunk
 //!   (`[flag][data]`, optionally compressed — see [`crate::chunk`]).
 //!   Chunks get dense ords in append order and are shared across blobs.

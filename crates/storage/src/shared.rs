@@ -311,30 +311,25 @@ pub(crate) fn index_payloads<B: AsRef<[u8]>>(
 }
 
 impl SharedStore {
-    /// Fresh in-memory shared store. Chunking follows the `KISHU_CHUNKING`
-    /// kill-switch; use [`SharedStore::in_memory_with`] to pin it.
+    /// Fresh in-memory shared store with the default chunk configuration.
     pub fn in_memory() -> Self {
-        Self::in_memory_with(ChunkConfig::from_env())
+        Self::in_memory_with(ChunkConfig::default())
     }
 
-    /// Fresh in-memory shared store with an explicit chunk configuration
-    /// (env-independent; what tests asserting chunk-layer behaviour should
-    /// use).
+    /// Fresh in-memory shared store with an explicit chunk configuration.
     pub fn in_memory_with(cfg: ChunkConfig) -> Self {
         Self::assemble(Backend::Memory, memory_log(cfg.clone()), cfg, BTreeMap::new(), 0)
     }
 
     /// Create a fresh file-backed store in `dir` (wiping any store files
-    /// already there) at generation 0. Chunking follows the
-    /// `KISHU_CHUNKING` kill-switch; use [`SharedStore::create_with`] to
-    /// pin it.
+    /// already there) at generation 0, with the default chunk
+    /// configuration.
     pub fn create(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Self::create_with(dir, ChunkConfig::from_env())
+        Self::create_with(dir, ChunkConfig::default())
     }
 
     /// Create a fresh file-backed store with an explicit chunk
-    /// configuration (env-independent; what tests asserting chunk-layer
-    /// behaviour should use). The manifest records the configuration, so
+    /// configuration. The manifest records the configuration, so
     /// [`SharedStore::open`] and GC compaction keep it.
     pub fn create_with(dir: impl AsRef<Path>, cfg: ChunkConfig) -> io::Result<Self> {
         let dir = dir.as_ref();
@@ -363,7 +358,7 @@ impl SharedStore {
     /// refcounts are rebuilt by scanning; files from uncommitted
     /// generations are swept away. New puts use the chunk configuration
     /// the manifest records (a manifest without one gets
-    /// [`ChunkConfig::from_env`]).
+    /// [`ChunkConfig::default`]).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
         let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
@@ -388,7 +383,7 @@ impl SharedStore {
             .map(|a| a.iter().filter_map(|t| t.as_str().map(str::to_string)).collect())
             .unwrap_or_default();
         let chunk = match j.get("chunk") {
-            None => ChunkConfig::from_env(),
+            None => ChunkConfig::default(),
             Some(c) => manifest_chunk(c).ok_or_else(|| invalid("manifest chunk config".into()))?,
         };
         remove_stale_generations(dir, generation);
@@ -744,6 +739,7 @@ impl CheckpointStore for TenantHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::each_chunk_config;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("kishu-shared-{}-{name}", std::process::id()));
@@ -754,116 +750,126 @@ mod tests {
 
     #[test]
     fn tenant_ids_are_dense_and_private() {
-        let store = SharedStore::in_memory();
-        let mut a = store.tenant("alice").expect("tenant");
-        let mut b = store.tenant("bob").expect("tenant");
-        assert_eq!(a.put(b"shared bytes").expect("put"), 0);
-        assert_eq!(b.put(b"shared bytes").expect("put"), 0, "b's ids start at 0 too");
-        assert_eq!(a.put(b"alice only").expect("put"), 1);
-        assert_eq!(a.get(0).expect("get"), b"shared bytes");
-        assert_eq!(b.get(0).expect("get"), b"shared bytes");
-        assert_eq!(a.get(1).expect("get"), b"alice only");
-        let err = b.get(1).expect_err("b has one blob");
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert_eq!(format!("{err}"), "no blob 1", "error shape matches MemoryStore");
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let mut a = store.tenant("alice").expect("tenant");
+            let mut b = store.tenant("bob").expect("tenant");
+            assert_eq!(a.put(b"shared bytes").expect("put"), 0);
+            assert_eq!(b.put(b"shared bytes").expect("put"), 0, "b's ids start at 0 too");
+            assert_eq!(a.put(b"alice only").expect("put"), 1);
+            assert_eq!(a.get(0).expect("get"), b"shared bytes");
+            assert_eq!(b.get(0).expect("get"), b"shared bytes");
+            assert_eq!(a.get(1).expect("get"), b"alice only");
+            let err = b.get(1).expect_err("b has one blob");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+            assert_eq!(format!("{err}"), "no blob 1", "error shape matches MemoryStore");
+        }
     }
 
     #[test]
     fn tenant_metrics_count_traffic_below_the_id_layer() {
-        let store = SharedStore::in_memory();
-        let mut a = store.tenant("alice").expect("tenant");
-        let mut b = store.tenant("bob").expect("tenant");
-        a.put(b"shared payload").expect("put");
-        b.put(b"shared payload").expect("put"); // cross-tenant dedup hit
-        b.put(b"bob only").expect("put");
-        let _ = a.get(0).expect("get");
-        let _ = b.get(99).expect_err("miss still counted");
-        b.sync().expect("sync");
-        let m = store.tenant_metrics();
-        let alice = m["alice"];
-        let bob = m["bob"];
-        assert_eq!((alice.puts, alice.dedup_hits, alice.gets), (1, 0, 1));
-        assert_eq!((bob.puts, bob.dedup_hits, bob.gets, bob.syncs), (2, 1, 1, 1));
-        assert_eq!(alice.put_bytes, b"shared payload".len() as u64);
-        // The privacy boundary: bob's *own* surface never reveals the
-        // dedup hit the operator view just counted.
-        assert_eq!(b.stats().payload_bytes, (b"shared payload".len() + b"bob only".len()) as u64);
-        assert_eq!(b.chunk_stats(), None);
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let mut a = store.tenant("alice").expect("tenant");
+            let mut b = store.tenant("bob").expect("tenant");
+            a.put(b"shared payload").expect("put");
+            b.put(b"shared payload").expect("put"); // cross-tenant dedup hit
+            b.put(b"bob only").expect("put");
+            let _ = a.get(0).expect("get");
+            let _ = b.get(99).expect_err("miss still counted");
+            b.sync().expect("sync");
+            let m = store.tenant_metrics();
+            let alice = m["alice"];
+            let bob = m["bob"];
+            assert_eq!((alice.puts, alice.dedup_hits, alice.gets), (1, 0, 1));
+            assert_eq!((bob.puts, bob.dedup_hits, bob.gets, bob.syncs), (2, 1, 1, 1));
+            assert_eq!(alice.put_bytes, b"shared payload".len() as u64);
+            // The privacy boundary: bob's *own* surface never reveals the
+            // dedup hit the operator view just counted.
+            assert_eq!(b.stats().payload_bytes, (b"shared payload".len() + b"bob only".len()) as u64);
+            assert_eq!(b.chunk_stats(), None);
+        }
     }
 
     #[test]
     fn cross_tenant_dedup_stores_identical_bytes_once() {
-        let store = SharedStore::in_memory();
-        let mut a = store.tenant("alice").expect("tenant");
-        let mut b = store.tenant("bob").expect("tenant");
-        let payload = vec![42u8; 10_000];
-        a.put(&payload).expect("put");
-        b.put(&payload).expect("put");
-        b.put(&payload).expect("repeat within tenant");
-        let physical = store.stats();
-        assert_eq!(physical.blobs, 1, "one physical copy");
-        assert_eq!(physical.payload_bytes, 10_000);
-        assert_eq!(store.logical_payload_bytes(), 30_000);
-        assert!((store.dedup_ratio() - 3.0).abs() < 1e-9);
-        // Logical views are oblivious.
-        assert_eq!(a.stats().payload_bytes, 10_000);
-        assert_eq!(b.stats().payload_bytes, 20_000);
-        assert_eq!(b.stats().physical_bytes, 20_000);
-        store.check_invariants(true).expect("invariants");
+        for cfg in each_chunk_config() {
+            let store = SharedStore::in_memory_with(cfg.clone());
+            let mut a = store.tenant("alice").expect("tenant");
+            let mut b = store.tenant("bob").expect("tenant");
+            let payload = vec![42u8; 10_000];
+            a.put(&payload).expect("put");
+            b.put(&payload).expect("put");
+            b.put(&payload).expect("repeat within tenant");
+            let physical = store.stats();
+            assert_eq!(physical.blobs, 1, "one physical copy");
+            assert_eq!(physical.payload_bytes, 10_000);
+            assert_eq!(store.logical_payload_bytes(), 30_000);
+            assert!((store.dedup_ratio() - 3.0).abs() < 1e-9);
+            // Logical views are oblivious.
+            assert_eq!(a.stats().payload_bytes, 10_000);
+            assert_eq!(b.stats().payload_bytes, 20_000);
+            assert_eq!(b.stats().physical_bytes, 20_000);
+            store.check_invariants(true).expect("invariants");
+        }
     }
 
     #[test]
     fn file_backed_store_reopens_with_views_intact() {
-        let dir = temp_dir("reopen");
-        {
-            let store = SharedStore::create(&dir).expect("create");
-            let mut a = store.tenant("alice").expect("tenant");
-            let mut b = store.tenant("bob").expect("tenant");
-            a.put(b"common").expect("put");
-            a.put(b"alice's own").expect("put");
+        for cfg in each_chunk_config() {
+            let dir = temp_dir("reopen");
+            {
+                let store = SharedStore::create_with(&dir, cfg.clone()).expect("create");
+                let mut a = store.tenant("alice").expect("tenant");
+                let mut b = store.tenant("bob").expect("tenant");
+                a.put(b"common").expect("put");
+                a.put(b"alice's own").expect("put");
+                b.put(b"common").expect("put");
+                store.sync_all().expect("sync");
+            }
+            let store = SharedStore::open(&dir).expect("open");
+            assert_eq!(store.tenant_names(), vec!["alice".to_string(), "bob".to_string()]);
+            let a = store.tenant("alice").expect("tenant");
+            let b = store.tenant("bob").expect("tenant");
+            assert_eq!(a.blob_count(), 2);
+            assert_eq!(a.get(0).expect("get"), b"common");
+            assert_eq!(a.get(1).expect("get"), b"alice's own");
+            assert_eq!(b.blob_count(), 1);
+            assert_eq!(b.get(0).expect("get"), b"common");
+            assert_eq!(store.stats().blobs, 2, "dedup survives reopen");
+            store.check_invariants(true).expect("invariants after reopen");
+            // Dedup index was rebuilt: a repeat write still dedups.
+            let mut b = b;
             b.put(b"common").expect("put");
-            store.sync_all().expect("sync");
+            assert_eq!(store.stats().blobs, 2);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let store = SharedStore::open(&dir).expect("open");
-        assert_eq!(store.tenant_names(), vec!["alice".to_string(), "bob".to_string()]);
-        let a = store.tenant("alice").expect("tenant");
-        let b = store.tenant("bob").expect("tenant");
-        assert_eq!(a.blob_count(), 2);
-        assert_eq!(a.get(0).expect("get"), b"common");
-        assert_eq!(a.get(1).expect("get"), b"alice's own");
-        assert_eq!(b.blob_count(), 1);
-        assert_eq!(b.get(0).expect("get"), b"common");
-        assert_eq!(store.stats().blobs, 2, "dedup survives reopen");
-        store.check_invariants(true).expect("invariants after reopen");
-        // Dedup index was rebuilt: a repeat write still dedups.
-        let mut b = b;
-        b.put(b"common").expect("put");
-        assert_eq!(store.stats().blobs, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_mapping_tail_degrades_to_missing_blob() {
-        let dir = temp_dir("torn-map");
-        let tenant_log = {
-            let store = SharedStore::create(&dir).expect("create");
-            let mut a = store.tenant("alice").expect("tenant");
-            a.put(b"first").expect("put");
-            a.put(b"second").expect("put");
-            store.sync_all().expect("sync");
-            tenant_path(&dir, "alice", 0)
-        };
-        // Tear the tail of the mapping log mid-record.
-        let len = std::fs::metadata(&tenant_log).expect("meta").len();
-        let f = std::fs::OpenOptions::new().write(true).open(&tenant_log).expect("open");
-        f.set_len(len - 5).expect("truncate");
-        drop(f);
-        let store = SharedStore::open(&dir).expect("recover");
-        let a = store.tenant("alice").expect("tenant");
-        assert_eq!(a.blob_count(), 1, "torn mapping record truncated away");
-        assert_eq!(a.get(0).expect("get"), b"first");
-        store.check_invariants(true).expect("invariants");
-        std::fs::remove_dir_all(&dir).ok();
+        for cfg in each_chunk_config() {
+            let dir = temp_dir("torn-map");
+            let tenant_log = {
+                let store = SharedStore::create_with(&dir, cfg.clone()).expect("create");
+                let mut a = store.tenant("alice").expect("tenant");
+                a.put(b"first").expect("put");
+                a.put(b"second").expect("put");
+                store.sync_all().expect("sync");
+                tenant_path(&dir, "alice", 0)
+            };
+            // Tear the tail of the mapping log mid-record.
+            let len = std::fs::metadata(&tenant_log).expect("meta").len();
+            let f = std::fs::OpenOptions::new().write(true).open(&tenant_log).expect("open");
+            f.set_len(len - 5).expect("truncate");
+            drop(f);
+            let store = SharedStore::open(&dir).expect("recover");
+            let a = store.tenant("alice").expect("tenant");
+            assert_eq!(a.blob_count(), 1, "torn mapping record truncated away");
+            assert_eq!(a.get(0).expect("get"), b"first");
+            store.check_invariants(true).expect("invariants");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -897,9 +903,8 @@ mod tests {
     #[test]
     fn shared_chunk_stats_aggregate_cross_tenant_chunk_dedup() {
         // Chunk dedup spans the whole store, so two near-identical blobs
-        // (different content keys) share chunks. Config is pinned to the
-        // default so the `KISHU_CHUNKING=0` CI matrix leg can't turn the
-        // layer off under the test.
+        // (different content keys) share chunks, so the config is pinned
+        // to the default (chunking on).
         let store = SharedStore::in_memory_with(ChunkConfig::default());
         let mut a = store.tenant("alice").expect("tenant");
         let mut b = store.tenant("bob").expect("tenant");
@@ -924,20 +929,22 @@ mod tests {
 
     #[test]
     fn tenant_flush_barrier_makes_puts_reopenable() {
-        let dir = temp_dir("barrier");
-        {
-            let store = SharedStore::create(&dir).expect("create");
-            let mut a = store.tenant("alice").expect("tenant");
-            a.put(b"barrier me").expect("put");
-            a.flush_barrier().expect("barrier");
-            // No sync_all: the barrier alone must order the bytes into the
-            // logs (durability modulo the OS, which tests can't force here).
+        for cfg in each_chunk_config() {
+            let dir = temp_dir("barrier");
+            {
+                let store = SharedStore::create_with(&dir, cfg.clone()).expect("create");
+                let mut a = store.tenant("alice").expect("tenant");
+                a.put(b"barrier me").expect("put");
+                a.flush_barrier().expect("barrier");
+                // No sync_all: the barrier alone must order the bytes into the
+                // logs (durability modulo the OS, which tests can't force here).
+            }
+            let store = SharedStore::open(&dir).expect("open");
+            let a = store.tenant("alice").expect("tenant");
+            assert_eq!(a.blob_count(), 1);
+            assert_eq!(a.get(0).expect("get"), b"barrier me");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let store = SharedStore::open(&dir).expect("open");
-        let a = store.tenant("alice").expect("tenant");
-        assert_eq!(a.blob_count(), 1);
-        assert_eq!(a.get(0).expect("get"), b"barrier me");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -997,15 +1004,17 @@ mod tests {
 
     #[test]
     fn open_rejects_a_manifest_naming_several_payload_logs() {
-        let dir = temp_dir("four-logs");
-        SharedStore::create(&dir).expect("create").tenant("alice").expect("tenant");
-        let manifest = manifest_path(&dir);
-        let text = std::fs::read_to_string(&manifest).expect("read");
-        assert!(text.contains("\"shards\":1"), "{text}");
-        std::fs::write(&manifest, text.replace("\"shards\":1", "\"shards\":4")).expect("write");
-        let err = SharedStore::open(&dir).expect_err("four logs are not readable");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains('4'), "error names the count: {err}");
-        std::fs::remove_dir_all(&dir).ok();
+        for cfg in each_chunk_config() {
+            let dir = temp_dir("four-logs");
+            SharedStore::create_with(&dir, cfg.clone()).expect("create").tenant("alice").expect("tenant");
+            let manifest = manifest_path(&dir);
+            let text = std::fs::read_to_string(&manifest).expect("read");
+            assert!(text.contains("\"shards\":1"), "{text}");
+            std::fs::write(&manifest, text.replace("\"shards\":1", "\"shards\":4")).expect("write");
+            let err = SharedStore::open(&dir).expect_err("four logs are not readable");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains('4'), "error names the count: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -131,16 +131,15 @@ impl Trace {
         Trace(None)
     }
 
-    /// Start a fresh, recording trace with flight-recorder bounds from
-    /// the environment (`KISHU_OBS_*`). The epoch (t=0 of every span's
-    /// `start_ns`) is now.
+    /// Start a fresh, recording trace with the default flight-recorder
+    /// bounds. The epoch (t=0 of every span's `start_ns`) is now.
     pub fn enabled() -> Trace {
-        Trace::with_obs(ObsConfig::from_env())
+        Trace::with_obs(ObsConfig::default())
     }
 
     /// Start a fresh, recording trace with explicit flight-recorder
     /// bounds (tests and the overhead experiment use this to force ring
-    /// pressure without touching process environment).
+    /// pressure).
     pub fn with_obs(obs: ObsConfig) -> Trace {
         Trace(Some(Arc::new(TraceInner {
             epoch: Instant::now(),
@@ -462,29 +461,18 @@ pub fn current_span(name: &str) -> SpanGuard {
 
 static GLOBAL: OnceLock<Trace> = OnceLock::new();
 
-/// The process-global trace: enabled iff the `KISHU_TRACE` environment
-/// variable is set non-empty (its value is the export path), unless
-/// [`force_global_enabled`] ran first. Sessions clone this by default.
+/// The process-global trace sessions start with: the trace a program
+/// installed with [`install_global`], else a disabled handle.
 pub fn global() -> &'static Trace {
-    GLOBAL.get_or_init(|| match std::env::var("KISHU_TRACE") {
-        Ok(p) if !p.is_empty() => Trace::enabled(),
-        _ => Trace::disabled(),
-    })
+    static DISABLED: Trace = Trace(None);
+    GLOBAL.get().unwrap_or(&DISABLED)
 }
 
-/// Force the global trace on regardless of `KISHU_TRACE` (the `repro
-/// trace` subcommand). Must run before the first [`global`] call to have
-/// an effect; returns the global either way.
-pub fn force_global_enabled() -> &'static Trace {
-    GLOBAL.get_or_init(Trace::enabled)
-}
-
-/// The export path from `KISHU_TRACE`, if set non-empty.
-pub fn global_path() -> Option<String> {
-    match std::env::var("KISHU_TRACE") {
-        Ok(p) if !p.is_empty() => Some(p),
-        _ => None,
-    }
+/// Install `trace` as the process-global trace. A program calls this once,
+/// before its first session; a later call keeps the first trace. Returns
+/// the installed global.
+pub fn install_global(trace: Trace) -> &'static Trace {
+    GLOBAL.get_or_init(|| trace)
 }
 
 #[cfg(test)]

@@ -58,14 +58,22 @@ if grep -nE '^\s*(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde|serd
     exit 1
 fi
 
-stage "guard: kishu-storage reads no environment variable but KISHU_CHUNKING"
-# The storage crate takes explicit configuration. The one exception is the
-# KISHU_CHUNKING kill-switch read in chunk.rs, which the v2 matrix below
-# sets; any other env read there is a knob nobody pinned down.
-if grep -rnE 'env::vars?(_os)?\b' crates/storage/src \
-    | grep -vE '^crates/storage/src/chunk\.rs:[0-9]+: .*std::env::var\("KISHU_CHUNKING"\)'; then
-    echo "error: crates/storage/src reads an environment variable above;" \
-         "only KISHU_CHUNKING in chunk.rs is allowed" >&2
+stage "guard: library crates read no environment variable"
+# Library crates take explicit configuration; the KISHU_* variables are
+# resolved once, at the edges, by kishu-bench's `settings` module (repro,
+# the kishu-repl binary, the root integration tests). Test modules count
+# too: an in-crate test that reads the environment is a knob the matrices
+# below would silently reach. Exempt: crates/testkit (seed and quick
+# mode belong to the test and bench harness) and crates/bench (the edge).
+LIB_SRCS=""
+for c in core kernel minipy pickle storage libsim baselines workloads trace; do
+    [ -d "crates/$c/src" ] || { echo "error: guard: crates/$c/src is missing" >&2; exit 1; }
+    LIB_SRCS="$LIB_SRCS crates/$c/src"
+done
+# shellcheck disable=SC2086 # word-splitting the directory list is intended
+if grep -rnE 'env::var' $LIB_SRCS; then
+    echo "error: a library crate reads an environment variable above;" \
+         "resolve it in crates/bench/src/settings.rs and pass it in" >&2
     exit 1
 fi
 
@@ -86,7 +94,10 @@ else
     # Both pipelines (checkpoint writes and checkout reads) must behave
     # identically at every worker count (the serial path is the
     # differential-testing oracle), so the whole suite runs twice: once
-    # fully serial, once at the parallel defaults for both directions.
+    # fully serial, once at the parallel defaults for both directions. The
+    # worker variables reach the root integration suites through the
+    # settings resolver; in-crate tests run at the library defaults, and
+    # tests/parallel_{pipeline,checkout}.rs loop worker counts 1/2/4/8.
     stage "cargo test --offline (CHECKPOINT/RESTORE_WORKERS=1, serial oracle)"
     KISHU_CHECKPOINT_WORKERS=1 KISHU_RESTORE_WORKERS=1 \
         cargo test -q --offline --workspace
@@ -156,18 +167,18 @@ if [ "$QUICK" != 1 ]; then
     fi
 
     # Storage-engine-v2 kill-switch matrix: content-defined chunking must be
-    # representation-only, so the storage crate and every integration
-    # differential run with chunking forced off (KISHU_CHUNKING=0, the v1
-    # bit-identical path) and forced on, under the same pinned seed, at
-    # both ends of the worker matrix. The workspace passes above already
-    # cover the default-on/default-seed paths; this matrix pins everything
-    # that could mask a chunking-dependent divergence.
+    # representation-only, so every integration differential runs with
+    # chunking forced off (KISHU_CHUNKING=0, the v1 bit-identical path) and
+    # forced on, under the same pinned seed, at both ends of the worker
+    # matrix. The variables reach the root suites through the settings
+    # resolver; the storage crate reads none, and its own tests run both
+    # chunk configs in every pass, so it is not repeated here.
     stage "storage engine v2 matrix (KISHU_CHUNKING={0,1} x workers {1,4}, seed $FAULT_SEED)"
     for CHUNKING in 0 1; do
         for W in 1 4; do
             if ! KISHU_CHUNKING=$CHUNKING KISHU_TESTKIT_SEED="$FAULT_SEED" \
                 KISHU_CHECKPOINT_WORKERS=$W KISHU_RESTORE_WORKERS=$W \
-                cargo test -q --offline -p kishu-storage -p kishu-repro; then
+                cargo test -q --offline -p kishu-repro; then
                 echo "error: v2 matrix failed at KISHU_CHUNKING=$CHUNKING workers=$W;" \
                      "replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
                 exit 1
@@ -180,8 +191,8 @@ if [ "$QUICK" != 1 ]; then
     # differential suite runs with a deliberately tiny ring (forced
     # eviction + reservoir sampling) and the journal armed, at both ends
     # of the worker matrix. The suite's own recorder arm hardcodes a small
-    # ring too; the env pass additionally covers every Trace::enabled()
-    # constructed from the environment.
+    # ring too; the env pass additionally covers the recorder-on arm, whose
+    # trace takes its bounds from the settings resolver.
     stage "trace differential with recorder forced on (KISHU_OBS_RING_BYTES=16384, workers 1 and 4)"
     if ! { KISHU_TESTKIT_SEED="$FAULT_SEED" \
             KISHU_OBS_RING_BYTES=16384 KISHU_OBS_JOURNAL=64 \
@@ -200,15 +211,16 @@ if [ "$QUICK" != 1 ]; then
     # tree-walking oracle under everything the sessions do — including the
     # replay/recompute fallback paths that crash-recovery and the
     # vm_differential suite drive under fault injection. Both engines run
-    # the interpreter and integration suites under the same pinned seed at
-    # both ends of the worker matrix (the workspace passes above only
-    # cover the default engine).
+    # the integration suites under the same pinned seed at both ends of the
+    # worker matrix (the workspace passes above only cover the default
+    # engine). The minipy crate reads no variable; its own tests run both
+    # engines in every pass, so it is not repeated here.
     stage "execution engine matrix (KISHU_MINIPY_VM={0,1} x workers {1,4}, seed $FAULT_SEED)"
     for VM in 0 1; do
         for W in 1 4; do
             if ! KISHU_MINIPY_VM=$VM KISHU_TESTKIT_SEED="$FAULT_SEED" \
                 KISHU_CHECKPOINT_WORKERS=$W KISHU_RESTORE_WORKERS=$W \
-                cargo test -q --offline -p kishu-minipy -p kishu-repro; then
+                cargo test -q --offline -p kishu-repro; then
                 echo "error: engine matrix failed at KISHU_MINIPY_VM=$VM workers=$W;" \
                      "replay with KISHU_TESTKIT_SEED=$FAULT_SEED" >&2
                 exit 1

@@ -9,14 +9,25 @@
 //!
 //! Multi-line cells: end a line with `:` or `\` to continue; finish with an
 //! empty line. `%help` lists the commands.
+//!
+//! The `KISHU_*` variables of [`kishu_bench::settings`] configure the
+//! session. `KISHU_TRACE` (any non-empty value) turns the flight recorder
+//! on: `%health` then shows it, and a panic or a failed `%undo` /
+//! `%checkout` writes a black box under `target/flightrec/`.
 
 use std::io::{self, BufRead, Write};
 
-use kishu::session::KishuConfig;
+use kishu_bench::settings::Settings;
 use kishu_repro::repl::Repl;
 
 fn main() {
-    let mut repl = Repl::new(KishuConfig::default());
+    let settings = Settings::from_env();
+    let mut repl = Repl::new(settings.kishu.clone());
+    if settings.trace_path.is_some() {
+        let trace = settings.trace();
+        kishu_trace::blackbox::install_panic_hook(&trace);
+        repl.session().set_trace(&trace);
+    }
     let stdin = io::stdin();
     let mut stdout = io::stdout();
     println!("kishu-repl — time-traveling notebook (%help for commands, %quit to exit)");

@@ -358,7 +358,16 @@ impl Repl {
                 report.identical,
                 Duration::from_nanos(report.co_wall_ns)
             )],
-            Err(e) => vec![format!("checkout failed: {e}")],
+            Err(e) => {
+                // A failed time-travel is what the flight recorder is
+                // for: keep its ring tail and recent events on disk.
+                let trace = self.session.trace();
+                if trace.is_enabled() {
+                    let dir = std::path::Path::new(kishu_trace::blackbox::DEFAULT_DIR);
+                    let _ = kishu_trace::blackbox::dump(trace, dir, "checkout_error");
+                }
+                vec![format!("checkout failed: {e}")]
+            }
         }
     }
 }

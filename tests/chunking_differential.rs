@@ -1,7 +1,7 @@
 //! Storage-engine-v2 differential: chunking and compression are
 //! **representation-only**. With the chunk layer on vs off (the
 //! `KISHU_CHUNKING=0` kill-switch position, pinned programmatically here
-//! because env vars are process-global):
+//! so both arms run in every pass):
 //!
 //! 1. every logical view is byte-identical — blob ids, payload bytes read
 //!    back, restored namespaces at every checkpoint;
@@ -20,6 +20,7 @@ use std::path::PathBuf;
 
 use kishu::session::{CellReport, KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
 use kishu_storage::chunk::ChunkConfig;
 use kishu_storage::{
@@ -109,7 +110,7 @@ fn observe(store: Box<dyn CheckpointStore>, cells: &[String], workers: usize) ->
     let config = KishuConfig {
         checkpoint_workers: workers,
         restore_workers: workers,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
     let mut s = KishuSession::new(store, config);
     let mut reports = Vec::new();
@@ -204,7 +205,7 @@ fn chunking_is_representation_only_file_store() {
         let off_len = std::fs::metadata(&off_path).expect("meta").len();
         assert!(on_len < off_len, "v2 log ({on_len}B) not smaller than v1 ({off_len}B)");
         // A reopened v2 log serves the identical logical view.
-        let reopened = FileStore::open(&on_path).expect("open");
+        let reopened = FileStore::open_with(&on_path, Settings::from_env().chunk).expect("open");
         let view: Vec<Vec<u8>> =
             (0..reopened.blob_count()).map(|i| reopened.get(i).expect("get")).collect();
         assert_eq!(view, on.store_view, "reopen changed the logical view");

@@ -29,8 +29,9 @@ use std::path::{Path, PathBuf};
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
-use kishu_storage::{CheckpointStore, FaultPlan, FaultStore, FileStore, MemoryStore, SharedStore};
+use kishu_storage::{CheckpointStore, FaultPlan, FaultStore, FileStore, SharedStore};
 use kishu_testkit::rng::env_seed;
 
 /// Whether this run uses the test's built-in seed (for which fault-firing
@@ -114,7 +115,7 @@ fn kill_at_any_byte_recovers_the_longest_intact_prefix() {
     ];
     let full = temp_path("kill.full.log");
     {
-        let mut s = FileStore::create(&full).expect("create");
+        let mut s = FileStore::create_with(&full, Settings::from_env().chunk).expect("create");
         for p in &payloads {
             s.put(p).expect("put");
         }
@@ -127,7 +128,8 @@ fn kill_at_any_byte_recovers_the_longest_intact_prefix() {
     let cut_path = temp_path("kill.cut.log");
     for cut in 0..=log.len() {
         std::fs::write(&cut_path, &log[..cut]).expect("write prefix");
-        let mut s = FileStore::open(&cut_path).expect("open never fails on a prefix");
+        let mut s = FileStore::open_with(&cut_path, Settings::from_env().chunk)
+            .expect("open never fails on a prefix");
         let intact = ends.iter().filter(|e| **e <= cut as u64).count();
         assert_eq!(
             s.blob_count(),
@@ -163,8 +165,8 @@ fn resume_succeeds_from_any_prefix_with_an_intact_snapshot() {
     // After each persist: (number of blobs the store holds, expected state).
     let mut persists: Vec<(u64, BTreeMap<String, String>)> = Vec::new();
     {
-        let store = FileStore::create(&full).expect("create");
-        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        let store = FileStore::create_with(&full, Settings::from_env().chunk).expect("create");
+        let mut s = KishuSession::new(Box::new(store), Settings::from_env().kishu);
         for (i, cell) in cells.iter().enumerate() {
             let r = s.run_cell(cell).expect("parses");
             assert!(r.outcome.error.is_none(), "cell {i}: {:?}", r.outcome.error);
@@ -198,8 +200,9 @@ fn resume_succeeds_from_any_prefix_with_an_intact_snapshot() {
         // The newest persist whose snapshot blob (the last blob written by
         // that persist) survived the crash is what resume must restore.
         let expected = persists.iter().rev().find(|(blobs, _)| *blobs <= intact);
-        let store = FileStore::open(&cut_path).expect("open recovers");
-        match KishuSession::resume(Box::new(store), KishuConfig::default()) {
+        let store =
+            FileStore::open_with(&cut_path, Settings::from_env().chunk).expect("open recovers");
+        match KishuSession::resume(Box::new(store), Settings::from_env().kishu) {
             Ok(resumed) => {
                 let (_, want) = expected.unwrap_or_else(|| {
                     panic!("cut {cut}: resume succeeded with no intact snapshot")
@@ -281,10 +284,11 @@ fn faulty_session_matches_fault_free_twin_with_retries() {
     // 5% transient faults with the default retry policy: retries absorb
     // nearly everything, state never diverges.
     let seed = env_seed(0xC0FFEE);
-    let store = FaultStore::new(Box::new(MemoryStore::new()), FaultPlan::transient(0.05), seed);
+    let inner = Box::new(Settings::from_env().memory_store());
+    let store = FaultStore::new(inner, FaultPlan::transient(0.05), seed);
     let ledger = store.ledger_handle();
-    let mut faulty = KishuSession::new(Box::new(store), KishuConfig::default());
-    let mut clean = KishuSession::in_memory(KishuConfig::default());
+    let mut faulty = KishuSession::new(Box::new(store), Settings::from_env().kishu);
+    let mut clean = Settings::from_env().in_memory_session();
     run_twins(&mut faulty, &mut clean);
     assert!(
         !default_seed() || ledger.total() > 0,
@@ -300,12 +304,13 @@ fn faulty_session_degrades_gracefully_without_retries() {
     let seed = env_seed(0xC0FFEE);
     let config = KishuConfig {
         store_retries: 0,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let store = FaultStore::new(Box::new(MemoryStore::new()), FaultPlan::transient(0.05), seed);
+    let inner = Box::new(Settings::from_env().memory_store());
+    let store = FaultStore::new(inner, FaultPlan::transient(0.05), seed);
     let ledger = store.ledger_handle();
     let mut faulty = KishuSession::new(Box::new(store), config);
-    let mut clean = KishuSession::in_memory(KishuConfig::default());
+    let mut clean = Settings::from_env().in_memory_session();
     let (dropped, integrity) = run_twins(&mut faulty, &mut clean);
     assert!(
         !default_seed() || ledger.total() > 0,
@@ -329,10 +334,10 @@ fn corrupt_reads_fall_back_to_recomputation() {
     let seed = env_seed(0xBADC0DE);
     let mut plan = FaultPlan::none();
     plan.bit_flip_p = 0.25;
-    let store = FaultStore::new(Box::new(MemoryStore::new()), plan, seed);
+    let store = FaultStore::new(Box::new(Settings::from_env().memory_store()), plan, seed);
     let ledger = store.ledger_handle();
-    let mut faulty = KishuSession::new(Box::new(store), KishuConfig::default());
-    let mut clean = KishuSession::in_memory(KishuConfig::default());
+    let mut faulty = KishuSession::new(Box::new(store), Settings::from_env().kishu);
+    let mut clean = Settings::from_env().in_memory_session();
     let (_, integrity) = run_twins(&mut faulty, &mut clean);
     let flips = ledger.snapshot().count(kishu_storage::FaultKind::BitFlip);
     assert!(!default_seed() || flips > 0, "no bit-flips fired (seed {seed})");
@@ -387,10 +392,13 @@ fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
     let mut live: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
     let mut truths: Vec<TenantTruth> = Vec::new();
     {
-        let store = SharedStore::create(&base).expect("create");
+        let store = SharedStore::create_with(&base, Settings::from_env().chunk).expect("create");
         let mut sessions: Vec<(&str, KishuSession)> = ["ana", "ben"]
             .iter()
-            .map(|n| (*n, KishuSession::on_shared(&store, n, KishuConfig::default()).expect("tenant")))
+            .map(|n| {
+                let s = KishuSession::on_shared(&store, n, Settings::from_env().kishu);
+                (*n, s.expect("tenant"))
+            })
             .collect();
         for i in 0..scripts[0].len() {
             for (ti, (_, s)) in sessions.iter_mut().enumerate() {
@@ -488,7 +496,7 @@ fn gc_compaction_killed_at_any_byte_recovers_every_tenant() {
         // reclaimed nothing reachable.
         for truth in &truths {
             let handle = reopened.tenant(truth.name).expect("tenant");
-            let mut s = KishuSession::resume(Box::new(handle), KishuConfig::default())
+            let mut s = KishuSession::resume(Box::new(handle), Settings::from_env().kishu)
                 .unwrap_or_else(|e| panic!("cut {cut}: resume {} failed: {e}", truth.name));
             assert_eq!(snapshot(&s), truth.head, "cut {cut}: {} head", truth.name);
             for (n, want) in &truth.at_nodes {

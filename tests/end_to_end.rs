@@ -2,8 +2,9 @@
 //! (kernel → minipy → libsim → kishu → storage), plus cross-method state
 //! agreement.
 
-use kishu::session::{KishuConfig, KishuSession};
+use kishu::session::KishuSession;
 use kishu_bench::methods::{Driver, MethodKind};
+use kishu_bench::settings::Settings;
 use kishu_storage::FileStore;
 use kishu_workloads::{all_notebooks, notebooks};
 
@@ -15,7 +16,7 @@ fn probe(s: &mut KishuSession, expr: &str) -> Option<String> {
 #[test]
 fn every_notebook_runs_under_kishu_with_per_cell_checkpoints() {
     for nb in all_notebooks(0.05) {
-        let mut s = KishuSession::in_memory(KishuConfig::default());
+        let mut s = Settings::from_env().in_memory_session();
         for (i, c) in nb.cells.iter().enumerate() {
             let r = s
                 .run_cell(&c.src)
@@ -38,7 +39,7 @@ fn undo_restores_exact_values_on_every_notebook() {
     // For each notebook: remember a mid-run probe value, keep running,
     // checkout back, and verify the probe.
     for nb in all_notebooks(0.05) {
-        let mut s = KishuSession::in_memory(KishuConfig::default());
+        let mut s = Settings::from_env().in_memory_session();
         let mid = nb.cells.len() / 2;
         let mut mid_node = None;
         let mut mid_vars: Vec<String> = Vec::new();
@@ -115,8 +116,8 @@ fn kishu_checkpoints_survive_a_durable_store() {
     let path = dir.join("session.log");
     let _ = std::fs::remove_file(&path);
     {
-        let store = FileStore::create(&path).expect("create");
-        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        let store = FileStore::create_with(&path, Settings::from_env().chunk).expect("create");
+        let mut s = KishuSession::new(Box::new(store), Settings::from_env().kishu);
         s.run_cell("x = arange(1000)\n").expect("runs");
         let t = s.head();
         s.run_cell("x.fill(0.0)\n").expect("runs");
@@ -124,7 +125,7 @@ fn kishu_checkpoints_survive_a_durable_store() {
         assert_eq!(probe(&mut s, "x.sum()").as_deref(), Some("499500.0"));
     }
     // The log itself is recoverable.
-    let store = FileStore::open(&path).expect("reopen");
+    let store = FileStore::open_with(&path, Settings::from_env().chunk).expect("reopen");
     assert!(kishu_storage::CheckpointStore::blob_count(&store) > 0);
     std::fs::remove_file(&path).ok();
 }
@@ -147,7 +148,7 @@ fn det_replay_round_trips_a_fully_deterministic_notebook() {
 #[test]
 fn repeated_back_and_forth_is_stable() {
     // Hop between two states many times; values must never drift.
-    let mut s = KishuSession::in_memory(KishuConfig::default());
+    let mut s = Settings::from_env().in_memory_session();
     s.run_cell("ls = [1, 2, 3]\n").expect("runs");
     let a = s.head();
     s.run_cell("ls.append(4)\nls.append(5)\n").expect("runs");

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use kishu::session::{KishuConfig, KishuSession};
 use kishu::vargraph::{VarGraph, VarGraphConfig};
+use kishu_bench::settings::Settings;
 use kishu_libsim::Registry;
 use kishu_storage::FileStore;
 
@@ -24,9 +25,9 @@ fn probe(s: &mut KishuSession, expr: &str) -> Option<String> {
 fn rule_based_cells_skip_detection_on_print_cells() {
     let config = KishuConfig {
         rule_based_cells: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     s.run_cell("y_train = arange(5000)\n").expect("runs");
     // The §7.6 printing cell: with the rule engine on, zero co-variables
     // are verified and nothing is stored.
@@ -43,9 +44,9 @@ fn rule_based_cells_never_misclassify_mutations() {
     // still go through full detection and be undoable.
     let config = KishuConfig {
         rule_based_cells: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     s.run_cell("ls = [1, 2, 3]\nm = lib_obj('sk.KMeans', 256, 1)\n").expect("runs");
     let before = s.head();
     for mutating in [
@@ -71,9 +72,9 @@ fn rule_based_cells_reduce_tracking_on_inspection_heavy_notebooks() {
         let config = KishuConfig {
             rule_based_cells: rules,
             auto_checkpoint: false,
-            ..KishuConfig::default()
+            ..Settings::from_env().kishu
         };
-        let mut s = KishuSession::in_memory(config);
+        let mut s = Settings::from_env().in_memory_session_with(config);
         s.run_cell("big = []\nfor k in range(4000):\n    big.append('item ' + str(k))\n")
             .expect("runs");
         let mut total = std::time::Duration::ZERO;
@@ -136,9 +137,9 @@ fn list_hashing_preserves_covariable_merges() {
     // merges co-variables.
     let config = KishuConfig {
         hash_primitive_lists: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     s.run_cell("ls = ['a', 'b', 'c']\nobj = Object()\n").expect("runs");
     let report = s.run_cell("obj.foo = ls[1]\n").expect("runs");
     let merged: std::collections::BTreeSet<String> =
@@ -154,9 +155,9 @@ fn list_hashing_preserves_covariable_merges() {
 fn list_hashing_round_trips_through_checkout() {
     let config = KishuConfig {
         hash_primitive_lists: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     s.run_cell("words = ['alpha', 'beta']\n").expect("runs");
     let before = s.head();
     s.run_cell("words[0] = 'gamma'\n").expect("runs");
@@ -176,8 +177,8 @@ fn session_resumes_from_a_durable_store_in_a_fresh_kernel() {
 
     let head;
     {
-        let store = FileStore::create(&path).expect("create");
-        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        let store = FileStore::create_with(&path, Settings::from_env().chunk).expect("create");
+        let mut s = KishuSession::new(Box::new(store), Settings::from_env().kishu);
         s.run_cell("df = read_csv('d', 200, 3, 9)\n").expect("runs");
         s.run_cell("total = df['c0'].sum()\n").expect("runs");
         s.run_cell("tags = ['x', 'y']\n").expect("runs");
@@ -186,9 +187,9 @@ fn session_resumes_from_a_durable_store_in_a_fresh_kernel() {
         // The kernel process "dies" here (session dropped).
     }
 
-    let store = FileStore::open(&path).expect("reopen");
+    let store = FileStore::open_with(&path, Settings::from_env().chunk).expect("reopen");
     let mut resumed =
-        KishuSession::resume(Box::new(store), KishuConfig::default()).expect("resume");
+        KishuSession::resume(Box::new(store), Settings::from_env().kishu).expect("resume");
     assert_eq!(resumed.head(), head);
     assert_eq!(probe(&mut resumed, "len(tags)").as_deref(), Some("2"));
     assert_eq!(probe(&mut resumed, "len(df.columns)").as_deref(), Some("3"));
@@ -207,13 +208,13 @@ fn resume_without_a_persisted_graph_fails_cleanly() {
     let path = dir.join("no-graph.log");
     let _ = std::fs::remove_file(&path);
     {
-        let store = FileStore::create(&path).expect("create");
-        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        let store = FileStore::create_with(&path, Settings::from_env().chunk).expect("create");
+        let mut s = KishuSession::new(Box::new(store), Settings::from_env().kishu);
         s.run_cell("x = 1\n").expect("runs");
         // No persist() call.
     }
-    let store = FileStore::open(&path).expect("reopen");
-    assert!(KishuSession::resume(Box::new(store), KishuConfig::default()).is_err());
+    let store = FileStore::open_with(&path, Settings::from_env().chunk).expect("reopen");
+    assert!(KishuSession::resume(Box::new(store), Settings::from_env().kishu).is_err());
     std::fs::remove_file(&path).ok();
 }
 
@@ -224,16 +225,16 @@ fn persist_is_incremental_and_latest_wins() {
     let path = dir.join("multi.log");
     let _ = std::fs::remove_file(&path);
     {
-        let store = FileStore::create(&path).expect("create");
-        let mut s = KishuSession::new(Box::new(store), KishuConfig::default());
+        let store = FileStore::create_with(&path, Settings::from_env().chunk).expect("create");
+        let mut s = KishuSession::new(Box::new(store), Settings::from_env().kishu);
         s.run_cell("v = 1\n").expect("runs");
         s.persist().expect("persist #1");
         s.run_cell("v = 2\n").expect("runs");
         s.persist().expect("persist #2");
     }
-    let store = FileStore::open(&path).expect("reopen");
+    let store = FileStore::open_with(&path, Settings::from_env().chunk).expect("reopen");
     let mut resumed =
-        KishuSession::resume(Box::new(store), KishuConfig::default()).expect("resume");
+        KishuSession::resume(Box::new(store), Settings::from_env().kishu).expect("resume");
     assert_eq!(probe(&mut resumed, "v").as_deref(), Some("2"), "latest snapshot wins");
     std::fs::remove_file(&path).ok();
 }
@@ -245,9 +246,9 @@ fn persist_is_incremental_and_latest_wins() {
 fn deferred_serialization_moves_bytes_into_think_time() {
     let config = KishuConfig {
         defer_serialization: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     let report = s.run_cell("big = arange(100000)\n").expect("runs");
     // The user-visible checkpoint wrote nothing yet.
     assert_eq!(report.checkpoint_bytes, 0);
@@ -264,9 +265,9 @@ fn deferred_serialization_moves_bytes_into_think_time() {
 fn deferred_bytes_flush_before_the_next_cell() {
     let config = KishuConfig {
         defer_serialization: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     s.run_cell("ls = [1, 2]\n").expect("runs");
     let before = s.head();
     assert_eq!(s.pending_count(), 1);
@@ -281,9 +282,9 @@ fn deferred_bytes_flush_before_the_next_cell() {
 fn checkout_flushes_pending_first() {
     let config = KishuConfig {
         defer_serialization: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     s.run_cell("a = [1]\n").expect("runs");
     let t1 = s.head();
     s.run_cell("a = [1, 2, 3]\n").expect("runs");
@@ -337,10 +338,10 @@ fn persist_flushes_pending_think_time_writes() {
     let path = dir.join("flush.log");
     let _ = std::fs::remove_file(&path);
     {
-        let store = FileStore::create(&path).expect("create");
+        let store = FileStore::create_with(&path, Settings::from_env().chunk).expect("create");
         let config = KishuConfig {
             defer_serialization: true,
-            ..KishuConfig::default()
+            ..Settings::from_env().kishu
         };
         let mut s = KishuSession::new(Box::new(store), config);
         s.run_cell("payload = arange(5000)\n").expect("runs");
@@ -348,9 +349,9 @@ fn persist_flushes_pending_think_time_writes() {
         s.persist().expect("persist");
         assert_eq!(s.pending_count(), 0, "persist must flush first");
     }
-    let store = FileStore::open(&path).expect("reopen");
+    let store = FileStore::open_with(&path, Settings::from_env().chunk).expect("reopen");
     let mut resumed =
-        KishuSession::resume(Box::new(store), KishuConfig::default()).expect("resume");
+        KishuSession::resume(Box::new(store), Settings::from_env().kishu).expect("resume");
     let out = resumed.run_cell("payload.sum()\n").expect("runs");
     assert!(out.outcome.error.is_none());
     assert!(out.outcome.value_repr.is_some(), "deferred data survived the restart");

@@ -20,9 +20,14 @@ use std::path::PathBuf;
 
 use kishu::graph::{CheckpointGraph, NodeId, StoredCoVar};
 use kishu::query::{diff_report, VarChange};
-use kishu::session::{KishuConfig, KishuSession};
-use kishu_storage::FileStore;
+use kishu::session::KishuSession;
+use kishu_bench::settings::Settings;
+use kishu_storage::{ChunkConfig, FileStore};
 use kishu_testkit::prelude::*;
+
+fn chunk() -> ChunkConfig {
+    Settings::from_env().chunk
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kishu-queries-{}-{name}", std::process::id()));
@@ -242,8 +247,8 @@ proptest! {
         case in 0u32..1_000_000,
     ) {
         let dir = temp_dir(&format!("prop-{case}"));
-        let store = Box::new(FileStore::create(dir.join("store.log")).expect("create store"));
-        let mut s = KishuSession::new(store, KishuConfig::default());
+        let store = Box::new(FileStore::create_with(dir.join("store.log"), chunk()).expect("create store"));
+        let mut s = KishuSession::new(store, Settings::from_env().kishu);
         apply_session_ops(&mut s, &ops)?;
         assert_index_matches_oracle(&s)?;
         let branches_before = s.graph().branches().clone();
@@ -251,8 +256,8 @@ proptest! {
         s.persist().expect("persist");
         drop(s);
 
-        let store = Box::new(FileStore::open(dir.join("store.log")).expect("reopen store"));
-        let resumed = KishuSession::resume(store, KishuConfig::default()).expect("resume");
+        let store = Box::new(FileStore::open_with(dir.join("store.log"), chunk()).expect("reopen store"));
+        let resumed = KishuSession::resume(store, Settings::from_env().kishu).expect("resume");
         prop_assert_eq!(resumed.head(), head_before, "resume restores the head");
         prop_assert_eq!(
             resumed.graph().branches(),
@@ -270,8 +275,8 @@ proptest! {
 #[test]
 fn branches_tags_and_queries_survive_resume() {
     let dir = temp_dir("refs-resume");
-    let store = Box::new(FileStore::create(dir.join("store.log")).expect("create store"));
-    let mut s = KishuSession::new(store, KishuConfig::default());
+    let store = Box::new(FileStore::create_with(dir.join("store.log"), chunk()).expect("create store"));
+    let mut s = KishuSession::new(store, Settings::from_env().kishu);
     s.run_cell("x = [1, 2]\n").expect("cell");
     let loaded = s.head();
     s.run_cell("x.append(3)\n").expect("cell");
@@ -286,8 +291,8 @@ fn branches_tags_and_queries_survive_resume() {
     s.persist().expect("persist");
     drop(s);
 
-    let store = Box::new(FileStore::open(dir.join("store.log")).expect("reopen"));
-    let mut r = KishuSession::resume(store, KishuConfig::default()).expect("resume");
+    let store = Box::new(FileStore::open_with(dir.join("store.log"), chunk()).expect("reopen"));
+    let mut r = KishuSession::resume(store, Settings::from_env().kishu).expect("resume");
     assert_eq!(r.resolve("grow"), Some(grown));
     assert_eq!(r.resolve("side"), Some(side));
     assert_eq!(r.resolve("base"), Some(loaded));
@@ -333,8 +338,8 @@ fn branches_tags_and_queries_survive_resume() {
 #[test]
 fn ref_mutations_persist() {
     let dir = temp_dir("refs-mutate");
-    let store = Box::new(FileStore::create(dir.join("store.log")).expect("create store"));
-    let mut s = KishuSession::new(store, KishuConfig::default());
+    let store = Box::new(FileStore::create_with(dir.join("store.log"), chunk()).expect("create store"));
+    let mut s = KishuSession::new(store, Settings::from_env().kishu);
     s.run_cell("a = 1\n").expect("cell");
     s.set_branch("work", None).expect("branch at head");
     s.set_tag("v1", None).expect("tag at head");
@@ -347,8 +352,8 @@ fn ref_mutations_persist() {
     let head = s.head();
     drop(s);
 
-    let store = Box::new(FileStore::open(dir.join("store.log")).expect("reopen"));
-    let r = KishuSession::resume(store, KishuConfig::default()).expect("resume");
+    let store = Box::new(FileStore::open_with(dir.join("store.log"), chunk()).expect("reopen"));
+    let r = KishuSession::resume(store, Settings::from_env().kishu).expect("resume");
     assert_eq!(r.resolve("main"), Some(head), "moved branch persisted");
     assert_eq!(r.resolve("work"), None, "rename persisted");
     assert_eq!(r.resolve("v1"), Some(NodeId(1)), "tag persisted");

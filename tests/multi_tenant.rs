@@ -33,9 +33,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use kishu::session::{CellReport, KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
 use kishu_storage::{
-    tenant_scope, FaultLedger, FaultPlan, FaultStore, MemoryStore, SharedStore,
+    tenant_scope, FaultLedger, FaultPlan, FaultStore, SharedStore,
 };
 use kishu_testkit::prelude::*;
 use kishu_testkit::rng::{env_seed, Rng};
@@ -52,7 +53,7 @@ fn config(workers: usize) -> KishuConfig {
         checkpoint_workers: workers,
         restore_workers: workers,
         dedup_blobs: true,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     }
 }
 
@@ -180,7 +181,7 @@ fn run_solo(base_seed: u64, n_cells: usize, workers: usize) -> Vec<Observation> 
         .enumerate()
         .map(|(ti, _)| {
             let cells = tenant_cells(base_seed, ti, n_cells);
-            observe(KishuSession::in_memory(config(workers)), &cells)
+            observe(Settings::from_env().in_memory_session_with(config(workers)), &cells)
         })
         .collect()
 }
@@ -191,7 +192,7 @@ fn run_interleaved(
     n_cells: usize,
     workers: usize,
 ) -> (Vec<Observation>, SharedStore) {
-    let store = SharedStore::in_memory();
+    let store = SharedStore::in_memory_with(Settings::from_env().chunk);
     let scripts: Vec<Vec<String>> =
         (0..TENANTS.len()).map(|ti| tenant_cells(base_seed, ti, n_cells)).collect();
     let mut sessions: Vec<KishuSession> = TENANTS
@@ -292,7 +293,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
         for (ti, name) in TENANTS.iter().enumerate() {
             let cells = tenant_cells(base_seed, ti, n_cells);
             let fs = FaultStore::scoped(
-                Box::new(MemoryStore::new()),
+                Box::new(Settings::from_env().memory_store()),
                 plan.clone(),
                 fault_seed,
                 tenant_scope(name),
@@ -307,7 +308,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
         }
         // Interleaved: one shared store, one shared fault state, one
         // FaultStore twin per tenant wrapping that tenant's view.
-        let store = SharedStore::in_memory();
+        let store = SharedStore::in_memory_with(Settings::from_env().chunk);
         let base = FaultStore::scoped(
             Box::new(store.tenant(TENANTS[0]).expect("tenant")),
             plan.clone(),
@@ -354,7 +355,7 @@ fn fault_ledgers_are_identical_solo_vs_interleaved() {
 #[test]
 fn gc_preserves_every_commit_of_every_session() {
     let base_seed = env_seed(0x6C_5EED);
-    let store = SharedStore::in_memory();
+    let store = SharedStore::in_memory_with(Settings::from_env().chunk);
     let mut sessions: Vec<KishuSession> = TENANTS
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))
@@ -418,7 +419,7 @@ fn gc_preserves_every_commit_of_every_session() {
 fn resume_through_a_tenant_view_is_isolation_blind() {
     let base_seed = env_seed(0x2E_5135);
     let run_and_resume = |neighbors: bool| -> (Vec<String>, BTreeMap<String, String>) {
-        let store = SharedStore::in_memory();
+        let store = SharedStore::in_memory_with(Settings::from_env().chunk);
         let mut sessions: Vec<(usize, KishuSession)> = Vec::new();
         for (ti, name) in TENANTS.iter().enumerate() {
             if ti == 0 || neighbors {
@@ -474,12 +475,13 @@ proptest! {
     ) {
         let scripts: Vec<Vec<String>> =
             (0..n_tenants).map(|ti| tenant_cells(seed, ti, ops.len())).collect();
-        let store = SharedStore::in_memory();
+        let settings = Settings::from_env();
+        let store = SharedStore::in_memory_with(settings.chunk.clone());
         let mut shared: Vec<KishuSession> = (0..n_tenants)
             .map(|ti| KishuSession::on_shared(&store, TENANTS[ti], config(1)).expect("tenant"))
             .collect();
         let mut private: Vec<KishuSession> =
-            (0..n_tenants).map(|_| KishuSession::in_memory(config(1))).collect();
+            (0..n_tenants).map(|_| settings.in_memory_session_with(config(1))).collect();
         let mut cursors = vec![0usize; n_tenants];
         let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); n_tenants];
         for &b in &ops {
@@ -531,7 +533,7 @@ proptest! {
 /// hold.
 #[test]
 fn overlapping_datasets_dedup_beyond_the_acceptance_bar() {
-    let store = SharedStore::in_memory();
+    let store = SharedStore::in_memory_with(Settings::from_env().chunk);
     let mut sessions: Vec<KishuSession> = TENANTS
         .iter()
         .map(|name| KishuSession::on_shared(&store, name, config(2)).expect("tenant"))

@@ -25,16 +25,16 @@ use std::collections::BTreeMap;
 
 use kishu::session::{CheckoutReport, KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
-use kishu_storage::{FaultLedgerHandle, FaultPlan, FaultStore, MemoryStore};
+use kishu_storage::{FaultLedgerHandle, FaultPlan, FaultStore};
 use kishu_testkit::prelude::*;
 use kishu_testkit::rng::Rng;
 
 /// Restore worker counts under differential test; 1 is the oracle.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Default read-cache capacity used by the fixtures (the config default is
-/// environment-sensitive; tests pin it).
+/// Read-cache capacity the fixtures pin (the config default's value).
 const CACHE_BYTES: u64 = 32 * 1024 * 1024;
 
 /// Generate a scripted notebook: fresh bindings, in-place mutations,
@@ -159,9 +159,9 @@ fn run_restore(
         checkpoint_workers: 1,
         restore_workers: workers,
         checkout_cache_bytes: cache_bytes,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     let mut nodes = Vec::new();
     for cell in cells {
         let r = s.run_cell(cell).expect("generated cells parse");
@@ -193,13 +193,14 @@ fn run_faulty_restore(
         put_transient_p: 0.02,
         ..FaultPlan::none()
     };
-    let fault_store = FaultStore::new(Box::new(MemoryStore::new()), plan, seed ^ 0xFA17);
+    let inner = Box::new(Settings::from_env().memory_store());
+    let fault_store = FaultStore::new(inner, plan, seed ^ 0xFA17);
     let ledger: FaultLedgerHandle = fault_store.ledger_handle();
     let config = KishuConfig {
         checkpoint_workers: 1,
         restore_workers: workers,
         checkout_cache_bytes: CACHE_BYTES,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
     let mut s = KishuSession::new(Box::new(fault_store), config);
     let mut nodes = Vec::new();
@@ -285,11 +286,11 @@ fn corrupt_read_degrades_at_every_worker_count() {
     use kishu_storage::{FaultKind, FaultOp};
     for workers in WORKER_COUNTS {
         let plan = FaultPlan::none().schedule(FaultOp::Get, 0, FaultKind::BitFlip);
-        let store = FaultStore::new(Box::new(MemoryStore::new()), plan, 5);
+        let store = FaultStore::new(Box::new(Settings::from_env().memory_store()), plan, 5);
         let config = KishuConfig {
             restore_workers: workers,
             checkout_cache_bytes: CACHE_BYTES,
-            ..KishuConfig::default()
+            ..Settings::from_env().kishu
         };
         let mut s = KishuSession::new(Box::new(store), config);
         s.run_cell("xs = [1, 2]\n").expect("cell");
@@ -310,14 +311,21 @@ fn corrupt_read_degrades_at_every_worker_count() {
     }
 }
 
-/// The resolution logic's floor and the config plumbing for the new knobs.
+/// `KISHU_RESTORE_WORKERS` reaches the session config through the
+/// resolver (clamped to at least 1), and the config plumbing for the knobs.
 #[test]
 fn restore_worker_default_honors_env() {
-    assert!(kishu::session::default_restore_workers() >= 1);
+    assert!(KishuConfig::default().restore_workers >= 1);
+    let resolve = |v: &str| {
+        Settings::from_lookup(|k| (k == "KISHU_RESTORE_WORKERS").then(|| v.to_string()))
+            .kishu
+            .restore_workers
+    };
+    assert_eq!((resolve("3"), resolve("0")), (3, 1));
     let cfg = KishuConfig {
         restore_workers: 7,
         checkout_cache_bytes: 12_345,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
     assert_eq!(cfg.restore_workers, 7);
     assert_eq!(cfg.checkout_cache_bytes, 12_345);

@@ -20,8 +20,9 @@ use std::collections::BTreeMap;
 
 use kishu::session::{CellReport, KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
-use kishu_storage::{FaultLedgerHandle, FaultPlan, FaultStore, MemoryStore};
+use kishu_storage::{FaultLedgerHandle, FaultPlan, FaultStore};
 use kishu_testkit::prelude::*;
 use kishu_testkit::rng::Rng;
 
@@ -96,9 +97,9 @@ fn run_plain(cells: &[String], workers: usize, dedup: bool) -> (Vec<(Option<Node
     let config = KishuConfig {
         checkpoint_workers: workers,
         dedup_blobs: dedup,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
-    let mut s = KishuSession::in_memory(config);
+    let mut s = Settings::from_env().in_memory_session_with(config);
     let mut reports = Vec::new();
     for cell in cells {
         let r = s.run_cell(cell).expect("generated cells parse");
@@ -125,11 +126,11 @@ fn run_faulty(
         bit_flip_p: 0.02,
         ..FaultPlan::none()
     };
-    let fault_store = FaultStore::new(Box::new(MemoryStore::new()), plan, seed);
+    let fault_store = FaultStore::new(Box::new(Settings::from_env().memory_store()), plan, seed);
     let ledger: FaultLedgerHandle = fault_store.ledger_handle();
     let config = KishuConfig {
         checkpoint_workers: workers,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
     let mut s = KishuSession::new(Box::new(fault_store), config);
     let mut reports = Vec::new();
@@ -183,13 +184,13 @@ proptest! {
     #[test]
     fn dedup_preserves_every_checkpoint(seed in any::<u64>()) {
         let cells = scripted_cells(seed, 18);
-        let mut with = KishuSession::in_memory(KishuConfig {
+        let mut with = Settings::from_env().in_memory_session_with(KishuConfig {
             dedup_blobs: true,
-            ..KishuConfig::default()
+            ..Settings::from_env().kishu
         });
-        let mut without = KishuSession::in_memory(KishuConfig {
+        let mut without = Settings::from_env().in_memory_session_with(KishuConfig {
             dedup_blobs: false,
-            ..KishuConfig::default()
+            ..Settings::from_env().kishu
         });
         let mut nodes = Vec::new();
         for cell in &cells {
@@ -216,7 +217,7 @@ proptest! {
 /// counter fires and the store does not grow.
 #[test]
 fn repeat_payloads_are_deduplicated() {
-    let mut s = KishuSession::in_memory(KishuConfig::default());
+    let mut s = Settings::from_env().in_memory_session();
     s.run_cell("x = [1, 2, 3]\n").expect("first");
     let before = s.store_stats();
     // Re-creating the same value makes a fresh object, so the conservative
@@ -243,16 +244,21 @@ fn repeat_payloads_are_deduplicated() {
     );
 }
 
-/// The serial oracle really is serial, and the default worker count obeys
-/// the environment override.
+/// The default worker count obeys the `KISHU_CHECKPOINT_WORKERS` override,
+/// resolved through a lookup table rather than the process environment
+/// (which is not safe to mutate across test threads).
 #[test]
 fn worker_count_default_honors_env() {
-    // Can't set env vars safely in-process across threads; just check the
-    // resolution logic's floor and the config plumbing.
-    assert!(kishu::session::default_checkpoint_workers() >= 1);
+    assert!(KishuConfig::default().checkpoint_workers >= 1);
+    let resolve = |v: &str| {
+        Settings::from_lookup(|k| (k == "KISHU_CHECKPOINT_WORKERS").then(|| v.to_string()))
+            .kishu
+            .checkpoint_workers
+    };
+    assert_eq!((resolve("3"), resolve("0")), (3, 1));
     let cfg = KishuConfig {
         checkpoint_workers: 7,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
     assert_eq!(cfg.checkpoint_workers, 7);
 }

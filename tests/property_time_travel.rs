@@ -5,8 +5,9 @@
 
 use std::collections::BTreeMap;
 
-use kishu::session::{KishuConfig, KishuSession};
+use kishu::session::KishuSession;
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
 use kishu_testkit::prelude::*;
 
@@ -106,7 +107,7 @@ proptest! {
 
     #[test]
     fn checkout_restores_any_past_state(ops in prop::collection::vec(op_strategy(), 1..25)) {
-        let mut s = KishuSession::in_memory(KishuConfig::default());
+        let mut s = Settings::from_env().in_memory_session();
         let mut bound = [false; NAMES.len()];
         let mut checkpoints: Vec<(NodeId, BTreeMap<String, String>)> = Vec::new();
 
@@ -145,7 +146,7 @@ proptest! {
     fn checkpoint_sizes_are_bounded_by_state_size(ops in prop::collection::vec(op_strategy(), 1..15)) {
         // An incremental checkpoint never stores more than the (deep) size
         // of the whole state it belongs to, plus small framing.
-        let mut s = KishuSession::in_memory(KishuConfig::default());
+        let mut s = Settings::from_env().in_memory_session();
         let mut bound = [false; NAMES.len()];
         for op in &ops {
             if !op.ready(&bound) {
@@ -190,7 +191,7 @@ proptest! {
     fn branching_sessions_restore_every_state(
         ops in prop::collection::vec(session_op_strategy(), 2..30)
     ) {
-        let mut s = KishuSession::in_memory(KishuConfig::default());
+        let mut s = Settings::from_env().in_memory_session();
         let mut bound = [false; NAMES.len()];
         let mut checkpoints: Vec<(NodeId, BTreeMap<String, String>)> = Vec::new();
 

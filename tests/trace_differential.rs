@@ -23,8 +23,9 @@ use std::collections::BTreeMap;
 
 use kishu::session::{CellReport, CheckoutReport, KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_minipy::repr::repr;
-use kishu_storage::{FaultLedger, FaultPlan, FaultStore, MemoryStore};
+use kishu_storage::{FaultLedger, FaultPlan, FaultStore};
 use kishu_trace::{ObsConfig, Trace};
 
 const FAULT_SEED: u64 = 0x7ACE_D1FF;
@@ -83,7 +84,8 @@ fn namespace(s: &KishuSession) -> BTreeMap<String, String> {
 enum Recorder {
     /// `Trace::disabled()` — the baseline arm.
     Off,
-    /// `Trace::enabled()` — env-derived `ObsConfig` (roomy defaults).
+    /// `Settings::trace()` — the `ObsConfig` resolved from `KISHU_OBS_*`
+    /// (roomy defaults when unset).
     On,
     /// The flight recorder's worst case, forced: a tiny ring (constant
     /// eviction + reservoir competition), a tiny journal, and a 1 ns
@@ -118,17 +120,18 @@ fn run_session(workers: usize, recorder: Recorder) -> Run {
         bit_flip_p: 0.03,
         ..FaultPlan::none()
     };
-    let fault_store = FaultStore::new(Box::new(MemoryStore::new()), plan, FAULT_SEED);
+    let inner = Box::new(Settings::from_env().memory_store());
+    let fault_store = FaultStore::new(inner, plan, FAULT_SEED);
     let ledger_handle = fault_store.ledger_handle();
     let config = KishuConfig {
         checkpoint_workers: workers,
         restore_workers: workers,
-        ..KishuConfig::default()
+        ..Settings::from_env().kishu
     };
     let mut s = KishuSession::new(Box::new(fault_store), config);
     let trace = match recorder {
         Recorder::Off => Trace::disabled(),
-        Recorder::On => Trace::enabled(),
+        Recorder::On => Settings::from_env().trace(),
         Recorder::ForcedPressure => Trace::with_obs(ObsConfig {
             ring_bytes: 8 * 1024,
             reservoir_spans: 32,

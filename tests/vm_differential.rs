@@ -29,10 +29,11 @@ use std::collections::BTreeMap;
 
 use kishu::session::{CellReport, CheckoutReport, KishuConfig, KishuSession};
 use kishu::NodeId;
+use kishu_bench::settings::Settings;
 use kishu_kernel::AccessRecord;
 use kishu_minipy::repr::repr;
 use kishu_minipy::{Engine, Interp};
-use kishu_storage::{FaultLedger, FaultPlan, FaultStore, MemoryStore};
+use kishu_storage::{FaultLedger, FaultPlan, FaultStore};
 use kishu_testkit::minipy_gen;
 use kishu_testkit::prelude::*;
 use kishu_testkit::rng::env_seed;
@@ -128,7 +129,7 @@ const SCRIPT: &[&str] = &[
 ];
 
 fn config(vm: bool, workers: usize) -> KishuConfig {
-    let mut cfg = KishuConfig::default();
+    let mut cfg = Settings::from_env().kishu;
     cfg.minipy_vm = vm;
     cfg.checkpoint_workers = workers;
     cfg.restore_workers = workers;
@@ -203,8 +204,9 @@ fn run_scripted(
 #[test]
 fn session_reports_and_checkouts_match_across_engines() {
     for workers in [1usize, 4] {
-        let tree = run_scripted(KishuSession::in_memory(config(false, workers)), &[]);
-        let vm = run_scripted(KishuSession::in_memory(config(true, workers)), &[]);
+        let settings = Settings::from_env();
+        let tree = run_scripted(settings.in_memory_session_with(config(false, workers)), &[]);
+        let vm = run_scripted(settings.in_memory_session_with(config(true, workers)), &[]);
         assert_eq!(tree, vm, "engine divergence at {workers} workers");
     }
 }
@@ -220,7 +222,8 @@ fn run_faulty(vm: bool, workers: usize, seed: u64) -> (
     FaultLedger,
     (Vec<String>, Vec<String>, Vec<BTreeMap<String, String>>),
 ) {
-    let store = FaultStore::new(Box::new(MemoryStore::new()), FaultPlan::transient(0.05), seed);
+    let inner = Box::new(Settings::from_env().memory_store());
+    let store = FaultStore::new(inner, FaultPlan::transient(0.05), seed);
     let ledger = store.ledger_handle();
     let s = KishuSession::new(Box::new(store), config(vm, workers));
     let observed = run_scripted(s, &[1]);
@@ -252,7 +255,7 @@ fn fault_ledgers_and_recovery_match_across_engines() {
 #[test]
 fn errored_cell_replay_matches_across_engines() {
     let run = |vm: bool| {
-        let mut s = KishuSession::in_memory(config(vm, 1));
+        let mut s = Settings::from_env().in_memory_session_with(config(vm, 1));
         let n0 = s.run_cell("ls = [1]\nk = 0\n").expect("cell 0").node.expect("node");
         // Code-only checkpoint: restoring this node replays the errored
         // cell in a temp namespace seeded from its dependencies. The cell
