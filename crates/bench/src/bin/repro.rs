@@ -166,7 +166,8 @@ fn run_trace(args: &Args, settings: &Settings) -> ! {
 
 /// Span names any pipeline-exercising trace export must contain — the
 /// write path's classify → serialize/seal → write nest and the read path's
-/// fetch → verify/decode → apply nest, plus the storage and pickle leaves.
+/// fetch → verify/decode → apply nest, the storage and pickle leaves, and
+/// the kernel heap's paced sweep.
 const EXPECTED_TRACE_SPANS: &[&str] = &[
     "cell.exec",
     "ckpt",
@@ -183,6 +184,7 @@ const EXPECTED_TRACE_SPANS: &[&str] = &[
     "checkout.decode",
     "checkout.apply",
     "pickle.loads",
+    "heap.gc",
 ];
 
 /// `repro trace-validate FILE`: parse a Chrome-trace export and check the

@@ -379,8 +379,6 @@ pub struct KishuSession {
     metrics: SessionMetrics,
     /// Co-variables committed but not yet serialized (think-time deferral).
     pending: Vec<(NodeId, CoVarKey)>,
-    /// Allocation high-water mark at the last garbage collection.
-    last_gc_allocs: u64,
     /// Content-addressed index over sealed payloads written this session
     /// (advisory; empty after `resume`). See [`KishuConfig::dedup_blobs`].
     blob_index: BlobIndex,
@@ -451,7 +449,6 @@ impl KishuSession {
             config,
             metrics: SessionMetrics::default(),
             pending: Vec::new(),
-            last_gc_allocs: 0,
             blob_index: BlobIndex::new(),
             read_cache,
             blob_keys: HashMap::new(),
@@ -914,15 +911,7 @@ impl KishuSession {
         }
         let ckpt_wall_ns = ckpt_sp.end();
 
-        // Amortize heap GC: a mark-sweep scans every slot ever allocated,
-        // so collecting after every tiny cell would make GC cost grow with
-        // session age. Collect only once enough new allocations piled up
-        // since the last sweep.
-        let allocs = self.interp.heap.total_allocated();
-        if allocs - self.last_gc_allocs > 4096 {
-            self.interp.gc();
-            self.last_gc_allocs = allocs;
-        }
+        self.maybe_gc();
 
         self.metrics.cells.push(CellMetrics {
             node: committed,
@@ -958,6 +947,23 @@ impl KishuSession {
             serialize_ns,
             write_ns,
         })
+    }
+
+    /// Sweep the kernel heap when its pacing rule says a sweep is due
+    /// ([`kishu_kernel::Heap::gc_due`]), inside a `heap.gc` span. Called
+    /// at the end of every cell run and checkout, so memory stays bounded
+    /// whichever of the two a session does.
+    fn maybe_gc(&mut self) {
+        let Some(bound) = self.interp.heap.gc_due() else {
+            return;
+        };
+        let mut sp = self.trace.span("heap.gc");
+        let swept = self.interp.gc();
+        sp.arg("bound", bound.as_str());
+        sp.arg("freed_objects", swept.freed_objects);
+        sp.arg("freed_bytes", swept.freed_bytes);
+        sp.arg("live_objects", swept.live_objects);
+        sp.arg("live_bytes", swept.live_bytes);
     }
 
     /// Serialize and store any co-variables whose checkpointing was
@@ -1181,9 +1187,10 @@ impl KishuSession {
         self.detector
             .resync_after_checkout(&self.interp.heap, &self.interp.globals, &changed);
         self.graph.set_head(target);
-        // No GC here: collection scans every slot ever allocated, which
-        // would dominate sub-millisecond undos; the next cell execution
-        // collects anyway.
+        // Free what the checkout replaced, as CPython does the moment a
+        // rebind drops the last reference; the pacing rule keeps this off
+        // all but about one checkout in many.
+        self.maybe_gc();
 
         let co_wall_ns = co_sp.end();
         Ok(CheckoutReport {
@@ -2078,7 +2085,7 @@ mod tests {
         assert_eq!(co.loaded.len(), 1);
 
         let spans = trace.spans();
-        let names: BTreeSet<&str> = spans.iter().map(|sp| sp.name.as_str()).collect();
+        let names: BTreeSet<&str> = spans.iter().map(|sp| sp.name).collect();
         for want in [
             "cell.exec",
             "cell.track",

@@ -117,13 +117,29 @@ impl PageAllocator {
         self.marked = None;
     }
 
-    /// Re-assert that an extent's pages are live. The heap calls this for all
-    /// surviving objects after a garbage-collection sweep so that pages
+    /// Re-assert that an extent's pages are live. The heap calls this for
+    /// the extents sharing pages with one it just freed, so that pages
     /// shared between a freed extent and a live one remain in the image.
     pub fn mark_live(&mut self, ext: Extent) {
         for p in ext.pages() {
             self.live.insert(p);
         }
+    }
+
+    /// Replace the live set with exactly the pages of `extents` (the
+    /// survivors of a garbage-collection sweep), and prune the dirty set to
+    /// it. The pruning is invisible to [`Self::dirty_pages`], which is
+    /// already restricted to live pages: addresses are never reused, so a
+    /// page leaves the live set for good unless an allocation lands on it,
+    /// and an allocation re-dirties it. It keeps the dirty set bounded by
+    /// the live set instead of by every page ever allocated.
+    pub(crate) fn rebuild_live(&mut self, extents: impl Iterator<Item = Extent>) {
+        let mut pages: Vec<u64> = extents.flat_map(|e| e.pages()).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        self.live = pages.into_iter().collect();
+        self.dirty = self.dirty.intersection(&self.live).copied().collect();
+        self.marked = None;
     }
 
     /// Mark every page of an extent dirty (an in-place mutation wrote to it).
@@ -148,6 +164,12 @@ impl PageAllocator {
     pub fn clear_dirty(&mut self) {
         self.dirty.clear();
         self.marked = None;
+    }
+
+    /// The raw dirty set, before the restriction to live pages.
+    #[cfg(test)]
+    pub(crate) fn dirty_set(&self) -> &BTreeSet<u64> {
+        &self.dirty
     }
 
     /// Total bytes handed out so far (address-space high-water mark).

@@ -476,7 +476,7 @@ impl FaultStore {
 
     /// Open the per-op observability span, annotated with the decision's
     /// replay coordinates. A no-op guard when no trace is attached.
-    fn op_span(&self, name: &str, d: &Decision) -> kishu_trace::SpanGuard {
+    fn op_span(&self, name: &'static str, d: &Decision) -> kishu_trace::SpanGuard {
         let mut sp = self.trace.span(name);
         sp.arg("op_index", d.index);
         sp.arg("key", format!("{:#018x}", d.key));
@@ -937,7 +937,7 @@ mod tests {
             let puts: Vec<_> = spans.iter().filter(|sp| sp.name == "fault.put").collect();
             assert_eq!(puts.len(), 3);
             let arg = |sp: &kishu_trace::SpanRecord, k: &str| {
-                sp.args.iter().find(|(a, _)| a == k).map(|(_, v)| v.clone())
+                sp.args.iter().find(|(a, _)| *a == k).map(|(_, v)| v.clone())
             };
             // Faulted ops carry the fault kind + ledger index; the clean one
             // carries neither, but all three carry key/attempt.

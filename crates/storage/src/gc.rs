@@ -568,7 +568,7 @@ mod tests {
             let mut a = store.tenant("a").expect("tenant");
             a.put(b"x").expect("put");
             store.collect(&live(&[("a", &[])])).expect("gc");
-            let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
+            let names: Vec<String> = trace.spans().iter().map(|s| s.name.to_string()).collect();
             for phase in ["gc.mark", "gc.sweep", "gc.commit"] {
                 assert!(names.iter().any(|n| n == phase), "missing span {phase}: {names:?}");
             }

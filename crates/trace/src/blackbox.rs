@@ -36,7 +36,7 @@ fn span_json(s: &SpanRecord) -> Json {
     if let Some(p) = s.parent {
         fields.push(("parent", Json::Int(p as i64)));
     }
-    fields.push(("name", Json::Str(s.name.clone())));
+    fields.push(("name", Json::Str(s.name.to_string())));
     fields.push(("start_ns", Json::Int(s.start_ns as i64)));
     fields.push(("dur_ns", Json::Int(s.dur_ns as i64)));
     fields.push(("tid", Json::Int(s.tid as i64)));
@@ -45,7 +45,7 @@ fn span_json(s: &SpanRecord) -> Json {
         Json::Object(
             s.args
                 .iter()
-                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                .map(|(k, v)| (k.to_string(), Json::Str(v.clone())))
                 .collect(),
         ),
     ));

@@ -50,10 +50,10 @@ pub fn chrome_json(spans: &[SpanRecord], metrics: &Json) -> Json {
             args.push(("parent".to_string(), Json::Int(p as i64)));
         }
         for (k, v) in &s.args {
-            args.push((k.clone(), Json::Str(v.clone())));
+            args.push((k.to_string(), Json::Str(v.clone())));
         }
         events.push(Json::obj(vec![
-            ("name", Json::Str(s.name.clone())),
+            ("name", Json::Str(s.name.to_string())),
             ("cat", Json::Str("kishu".into())),
             ("ph", Json::Str("X".into())),
             ("pid", Json::Int(1)),
@@ -89,7 +89,7 @@ pub fn text_summary(spans: &[SpanRecord], metrics: &MetricsRegistry) -> String {
     // name -> (count, total, min, max)
     let mut agg: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
     for s in spans {
-        let e = agg.entry(&s.name).or_insert((0, 0, u64::MAX, 0));
+        let e = agg.entry(s.name).or_insert((0, 0, u64::MAX, 0));
         e.0 += 1;
         e.1 += s.dur_ns;
         e.2 = e.2.min(s.dur_ns);
@@ -146,7 +146,7 @@ mod tests {
             SpanRecord {
                 id: 1,
                 parent: None,
-                name: "ckpt".into(),
+                name: "ckpt",
                 start_ns: 1_000,
                 dur_ns: 8_000,
                 tid: 0,
@@ -155,11 +155,11 @@ mod tests {
             SpanRecord {
                 id: 2,
                 parent: Some(1),
-                name: "ckpt.seal".into(),
+                name: "ckpt.seal",
                 start_ns: 2_500,
                 dur_ns: 4_000,
                 tid: 1,
-                args: vec![("bytes".into(), "64".into())],
+                args: vec![("bytes", "64".into())],
             },
         ]
     }

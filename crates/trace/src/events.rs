@@ -162,7 +162,7 @@ pub fn slow_threshold_ns(base_ns: u64, name: &str) -> u64 {
 /// threshold.
 pub fn slow_span_fields(r: &SpanRecord, threshold_ns: u64) -> Vec<(String, String)> {
     let mut fields = vec![
-        ("op".to_string(), r.name.clone()),
+        ("op".to_string(), r.name.to_string()),
         ("span".to_string(), r.id.to_string()),
         ("dur_ns".to_string(), r.dur_ns.to_string()),
         ("threshold_ns".to_string(), threshold_ns.to_string()),
@@ -171,8 +171,8 @@ pub fn slow_span_fields(r: &SpanRecord, threshold_ns: u64) -> Vec<(String, Strin
     // Carry fault/ledger annotations through so a slow faulted op links
     // back to its FaultLedger entry from the journal alone.
     for (k, v) in &r.args {
-        if k == "fault" || k == "ledger" {
-            fields.push((k.clone(), v.clone()));
+        if *k == "fault" || *k == "ledger" {
+            fields.push((k.to_string(), v.clone()));
         }
     }
     fields
@@ -251,14 +251,14 @@ mod tests {
         let r = SpanRecord {
             id: 7,
             parent: None,
-            name: "store.put".into(),
+            name: "store.put",
             start_ns: 0,
             dur_ns: 99,
             tid: 2,
             args: vec![
-                ("bytes".into(), "10".into()),
-                ("fault".into(), "transient".into()),
-                ("ledger".into(), "4".into()),
+                ("bytes", "10".into()),
+                ("fault", "transient".into()),
+                ("ledger", "4".into()),
             ],
         };
         let fields = slow_span_fields(&r, 50);

@@ -47,7 +47,6 @@ pub mod blackbox;
 pub mod chrome;
 pub mod events;
 pub mod metrics;
-pub mod prom;
 pub mod ring;
 
 pub use events::{Event, EventJournal, Severity};
@@ -67,7 +66,7 @@ pub struct SpanRecord {
     /// Enclosing span at creation time, if any.
     pub parent: Option<SpanId>,
     /// Span name, e.g. `"ckpt.serialize"`.
-    pub name: String,
+    pub name: &'static str,
     /// Start offset from the trace epoch, nanoseconds.
     pub start_ns: u64,
     /// Duration, nanoseconds.
@@ -76,7 +75,7 @@ pub struct SpanRecord {
     pub tid: u32,
     /// Free-form key/value annotations (blob ids, byte counts, fault
     /// kinds, ledger indices…).
-    pub args: Vec<(String, String)>,
+    pub args: Vec<(&'static str, String)>,
 }
 
 /// The recorder's mutable state, behind a single lock. One mutex instead
@@ -162,8 +161,10 @@ impl Trace {
     /// *this thread* for *this trace* (so nesting needs no explicit
     /// plumbing); across pool workers, use [`Trace::worker_scope`] to
     /// seed the parent. Always returns a guard whose [`SpanGuard::end`]
-    /// measures wall time; recording happens only when enabled.
-    pub fn span(&self, name: &str) -> SpanGuard {
+    /// measures wall time; recording happens only when enabled. Span
+    /// names and [`SpanGuard::arg`] keys are `'static`, so a recorded span
+    /// allocates only its argument values.
+    pub fn span(&self, name: &'static str) -> SpanGuard {
         let start = Instant::now();
         let Some(inner) = &self.0 else {
             return SpanGuard { start, open: None };
@@ -186,7 +187,7 @@ impl Trace {
             open: Some(OpenSpan {
                 id,
                 parent,
-                name: name.to_string(),
+                name,
                 args: Vec::new(),
             }),
         }
@@ -300,12 +301,6 @@ impl Trace {
         self.0.as_deref().map(|inner| &inner.obs)
     }
 
-    /// Prometheus-style text exposition of metrics plus ring accounting
-    /// (see [`prom::prometheus_text`]).
-    pub fn prometheus_text(&self) -> String {
-        prom::prometheus_text(&self.metrics(), Some(&self.ring_stats()))
-    }
-
     /// The retained journal in its JSONL interchange format.
     pub fn events_jsonl(&self) -> String {
         events::events_jsonl(&self.events())
@@ -331,22 +326,22 @@ impl Trace {
 fn flush_thread_buffer() {
     let mut rest: Vec<(Arc<TraceInner>, SpanRecord)> =
         BUFFER.with(|b| std::mem::take(&mut *b.borrow_mut()));
+    let mut keep = Vec::new();
     while let Some((inner, _)) = rest.first() {
         let inner = inner.clone();
         // One lock covers the batch: ring pushes, latency windows, and
         // any slow-span journal entries all land in a single acquisition,
         // which is what keeps per-job worker-pool drains cheap. Records
         // for a different trace (rare: nested sessions) carry over.
-        let mut keep = Vec::new();
         {
             let mut st = inner.state.lock().expect("obs state poisoned");
-            for (t, r) in rest {
+            for (t, r) in rest.drain(..) {
                 if !Arc::ptr_eq(&t, &inner) {
                     keep.push((t, r));
                     continue;
                 }
-                st.metrics.observe_latency(&r.name, r.dur_ns);
-                let threshold = events::slow_threshold_ns(inner.obs.slow_ns, &r.name);
+                st.metrics.observe_latency(r.name, r.dur_ns);
+                let threshold = events::slow_threshold_ns(inner.obs.slow_ns, r.name);
                 if r.dur_ns >= threshold {
                     // Stamped at the span's end, not "now": derived from
                     // the same clock read as the span itself.
@@ -357,15 +352,19 @@ fn flush_thread_buffer() {
                 st.spans.push(r);
             }
         }
-        rest = keep;
+        std::mem::swap(&mut rest, &mut keep);
     }
+    // No span closes on this thread while the drain runs, so the buffer is
+    // still empty: hand the drained allocation back rather than growing a
+    // fresh one on the next span.
+    BUFFER.with(|b| *b.borrow_mut() = keep);
 }
 
 struct OpenSpan {
     id: SpanId,
     parent: Option<SpanId>,
-    name: String,
-    args: Vec<(String, String)>,
+    name: &'static str,
+    args: Vec<(&'static str, String)>,
 }
 
 /// An open span. Close it with [`SpanGuard::end`] to get the measured
@@ -378,9 +377,9 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Attach a key/value annotation. No-op when the trace is disabled.
-    pub fn arg(&mut self, key: &str, value: impl ToString) {
+    pub fn arg(&mut self, key: &'static str, value: impl ToString) {
         if let Some(open) = &mut self.open {
-            open.args.push((key.to_string(), value.to_string()));
+            open.args.push((key, value.to_string()));
         }
     }
 
@@ -455,7 +454,7 @@ pub fn current() -> Trace {
 }
 
 /// Open a span on the thread-current trace (see [`current`]).
-pub fn current_span(name: &str) -> SpanGuard {
+pub fn current_span(name: &'static str) -> SpanGuard {
     current().span(name)
 }
 
@@ -514,7 +513,7 @@ mod tests {
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         assert_eq!(inner.parent, Some(outer.id));
         assert_eq!(outer.parent, None);
-        assert_eq!(inner.args, vec![("bytes".to_string(), "42".to_string())]);
+        assert_eq!(inner.args, vec![("bytes", "42".to_string())]);
         assert_eq!(inner.tid, 0);
         assert!(inner.start_ns >= outer.start_ns);
     }
@@ -662,11 +661,11 @@ mod tests {
                 ring.push(SpanRecord {
                     id,
                     parent,
-                    name: if rng.gen_bool(0.5) { "ckpt.seal" } else { "store.put" }.into(),
+                    name: if rng.gen_bool(0.5) { "ckpt.seal" } else { "store.put" },
                     start_ns: id * 100,
                     dur_ns: rng.next_u64() % 1_000_000,
                     tid: (rng.next_u64() % 5) as u32,
-                    args: vec![("i".into(), id.to_string())],
+                    args: vec![("i", id.to_string())],
                 });
             }
             let snap = ring.snapshot();
@@ -732,7 +731,6 @@ mod tests {
         let m = t.metrics();
         let w = m.latency("store.get").expect("window recorded on flush");
         assert_eq!(w.total, 10);
-        assert!(t.prometheus_text().contains("kishu_latency_store_get_ns"));
     }
 
     #[test]

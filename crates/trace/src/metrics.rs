@@ -105,7 +105,7 @@ pub const WINDOW_CAP: usize = 512;
 
 /// A rolling window over the last [`WINDOW_CAP`] latency samples of one
 /// op family, answering p50/p95/p99 for the operator surface
-/// (`%health`, the Prometheus exposition). A window, not an all-time
+/// (`%health`). A window, not an all-time
 /// histogram: operators care about *current* tail latency, and a
 /// fixed-size buffer keeps the always-on recorder's memory bounded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,13 +184,24 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Add `delta` to the named counter (created at zero on first use).
+    /// Like [`Self::observe`] and [`Self::observe_latency`], it looks the
+    /// name up before inserting, so the recorder's per-span path allocates
+    /// no key.
     pub fn counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Record a histogram sample (histogram created on first use).
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_string()).or_default().record(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => self.histograms.entry(name.to_string()).or_default().record(value),
+        }
     }
 
     /// The named counter's value, if it was ever touched.
@@ -206,7 +217,10 @@ impl MetricsRegistry {
     /// Record a latency sample into the op family's rolling window
     /// (window created on first use).
     pub fn observe_latency(&mut self, name: &str, ns: u64) {
-        self.windows.entry(name.to_string()).or_default().record(ns);
+        match self.windows.get_mut(name) {
+            Some(w) => w.record(ns),
+            None => self.windows.entry(name.to_string()).or_default().record(ns),
+        }
     }
 
     /// The op family's rolling latency window, if it was ever touched.

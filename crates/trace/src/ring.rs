@@ -206,7 +206,7 @@ mod tests {
         SpanRecord {
             id,
             parent,
-            name: "op".into(),
+            name: "op",
             start_ns: id * 10,
             dur_ns,
             tid: 0,

@@ -10,6 +10,9 @@
 //!
 //! 5. identical diff reports (including memo hits) and search results;
 //!
+//! (Namespaces compare every binding's ObjId as well as its value, and
+//! each operation's `total_allocated` is compared too.)
+//!
 //! at both the serial-oracle width (1 worker) and the parallel defaults
 //! (4 workers), covering the checkpoint write pipeline and the checkout
 //! read pipeline in one script — and not just with the recorder on, but
@@ -18,6 +21,10 @@
 //! threshold). This is the invariant that makes `KISHU_TRACE=...` safe to
 //! flip on against any workload: the trace observes the run, it never
 //! participates in it.
+//!
+//! The same observables pin a second invariant: **heap GC is
+//! behavior-free**. Sweeping after every cell run and checkout must give
+//! exactly what the default pacing gives.
 
 use std::collections::BTreeMap;
 
@@ -71,11 +78,12 @@ fn checkout_fingerprint(r: &CheckoutReport) -> String {
     )
 }
 
+/// Every binding's ObjId and value.
 fn namespace(s: &KishuSession) -> BTreeMap<String, String> {
     s.interp
         .globals
         .bindings()
-        .map(|(n, o)| (n.to_string(), repr(&s.interp.heap, o)))
+        .map(|(n, o)| (n.to_string(), format!("{o:?} {}", repr(&s.interp.heap, o))))
         .collect()
 }
 
@@ -102,6 +110,8 @@ struct Run {
     /// All-branches search results.
     search_fps: Vec<String>,
     namespaces: Vec<BTreeMap<String, String>>,
+    /// `total_allocated` after every cell run and checkout.
+    allocated: Vec<u64>,
     ledger: FaultLedger,
     blobs: Vec<Option<Vec<u8>>>,
     spans_recorded: usize,
@@ -109,10 +119,20 @@ struct Run {
     events_seen: u64,
 }
 
+/// When the kernel heap is swept.
+#[derive(Clone, Copy, PartialEq)]
+enum Sweep {
+    /// The session's own pacing rule.
+    Paced,
+    /// Additionally after every cell run and checkout.
+    EveryOp,
+}
+
 /// One full write+time-travel session over a fault-injecting store, with
-/// the recorder off, on, or forced into memory pressure. Everything
+/// the recorder off, on, or forced into memory pressure, and the heap
+/// swept at the default pacing or after every operation. Everything
 /// returned is a non-timing observable.
-fn run_session(workers: usize, recorder: Recorder) -> Run {
+fn run_session(workers: usize, recorder: Recorder, sweep: Sweep) -> Run {
     let plan = FaultPlan {
         put_transient_p: 0.10,
         get_transient_p: 0.08,
@@ -141,10 +161,18 @@ fn run_session(workers: usize, recorder: Recorder) -> Run {
     };
     s.set_trace(&trace);
 
+    let mut allocated = Vec::new();
+    let mut after_op = |s: &mut KishuSession| {
+        if sweep == Sweep::EveryOp {
+            s.interp.gc();
+        }
+        allocated.push(s.interp.heap.total_allocated());
+    };
     let mut cell_fps = Vec::new();
     let mut nodes: Vec<NodeId> = Vec::new();
     for cell in cells() {
         let r = s.run_cell(cell).expect("scripted cells parse");
+        after_op(&mut s);
         cell_fps.push(cell_fingerprint(&r));
         if let Some(n) = r.node {
             nodes.push(n);
@@ -158,6 +186,7 @@ fn run_session(workers: usize, recorder: Recorder) -> Run {
     let mut namespaces = Vec::new();
     for target in [nodes[1], head, nodes[3], nodes[1], head] {
         let r = s.checkout(target).expect("checkout degrades, never fails");
+        after_op(&mut s);
         checkout_fps.push(checkout_fingerprint(&r));
         namespaces.push(namespace(&s));
     }
@@ -204,6 +233,7 @@ fn run_session(workers: usize, recorder: Recorder) -> Run {
         diff_fps,
         search_fps,
         namespaces,
+        allocated,
         ledger,
         blobs,
         spans_recorded: ring.recorded as usize,
@@ -219,6 +249,7 @@ fn assert_same_behavior(off: &Run, on: &Run, what: &str) {
     assert_eq!(off.diff_fps, on.diff_fps, "diff reports diverged: {what}");
     assert_eq!(off.search_fps, on.search_fps, "search results diverged: {what}");
     assert_eq!(off.namespaces, on.namespaces, "restored namespaces diverged: {what}");
+    assert_eq!(off.allocated, on.allocated, "allocation counts diverged: {what}");
     assert_eq!(off.ledger, on.ledger, "fault ledger diverged: {what}");
     assert_eq!(off.blobs, on.blobs, "store bytes diverged: {what}");
 }
@@ -226,8 +257,8 @@ fn assert_same_behavior(off: &Run, on: &Run, what: &str) {
 #[test]
 fn tracing_is_behavior_free_for_both_pipelines_at_1_and_4_workers() {
     for workers in [1usize, 4] {
-        let off = run_session(workers, Recorder::Off);
-        let on = run_session(workers, Recorder::On);
+        let off = run_session(workers, Recorder::Off, Sweep::Paced);
+        let on = run_session(workers, Recorder::On, Sweep::Paced);
         assert_same_behavior(&off, &on, &format!("workers={workers}"));
         // And the trace actually observed the run it did not perturb.
         assert_eq!(off.spans_recorded, 0, "disabled trace must record nothing");
@@ -246,8 +277,8 @@ fn tracing_is_behavior_free_for_both_pipelines_at_1_and_4_workers() {
 #[test]
 fn recorder_under_memory_pressure_is_behavior_free_at_1_and_4_workers() {
     for workers in [1usize, 4] {
-        let off = run_session(workers, Recorder::Off);
-        let on = run_session(workers, Recorder::ForcedPressure);
+        let off = run_session(workers, Recorder::Off, Sweep::Paced);
+        let on = run_session(workers, Recorder::ForcedPressure, Sweep::Paced);
         assert_same_behavior(&off, &on, &format!("forced recorder, workers={workers}"));
         // The pressure must have been real: the tiny ring overflowed and
         // the journal path ran (truthfully accounted, not silently).
@@ -267,7 +298,20 @@ fn recorder_under_memory_pressure_is_behavior_free_at_1_and_4_workers() {
 /// pressure) — the strongest composition of the two invariants.
 #[test]
 fn traced_parallel_run_matches_the_untraced_serial_oracle() {
-    let oracle = run_session(1, Recorder::Off);
-    let traced_parallel = run_session(4, Recorder::ForcedPressure);
+    let oracle = run_session(1, Recorder::Off, Sweep::Paced);
+    let traced_parallel = run_session(4, Recorder::ForcedPressure, Sweep::Paced);
     assert_same_behavior(&oracle, &traced_parallel, "serial oracle vs parallel recorder");
+}
+
+/// Heap GC is behavior-free: sweeping after every cell run and checkout
+/// changes no namespace (ObjIds included), allocation count, report,
+/// store byte or fault decision, at both worker widths.
+#[test]
+fn sweeping_after_every_operation_is_behavior_free_at_1_and_4_workers() {
+    for workers in [1usize, 4] {
+        let paced = run_session(workers, Recorder::Off, Sweep::Paced);
+        let swept = run_session(workers, Recorder::Off, Sweep::EveryOp);
+        let what = format!("sweep every op, workers={workers}");
+        assert_same_behavior(&paced, &swept, &what);
+    }
 }

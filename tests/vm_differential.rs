@@ -24,6 +24,10 @@
 //!    final state must be engine-independent. Plus the PR-2 regression: an
 //!    errored cell whose *partial* mutations must be reproduced when
 //!    replayed through `run_cell_in_temp_namespace` during checkout.
+//! 4. **Heap GC is behavior-free**: the degraded-path session with the
+//!    heap swept after every cell run and checkout matches the default
+//!    pacing — namespaces with ObjIds, `total_allocated`, reports, store
+//!    bytes and fault ledgers — on both engines at 1 and 4 workers.
 
 use std::collections::BTreeMap;
 
@@ -173,40 +177,79 @@ fn namespace(s: &KishuSession) -> BTreeMap<String, String> {
         .collect()
 }
 
+/// Every binding's ObjId and value. ObjIds are engine-independent (the
+/// VM allocates in the tree-walker's order) and GC-independent (ids are
+/// never reused).
+fn namespace_with_ids(s: &KishuSession) -> BTreeMap<String, String> {
+    s.interp
+        .globals
+        .bindings()
+        .map(|(n, o)| (n.to_string(), format!("{o:?} {}", repr(&s.interp.heap, o))))
+        .collect()
+}
+
+/// Everything [`run_scripted`] observes.
+#[derive(Debug, PartialEq)]
+struct Scripted {
+    cells: Vec<String>,
+    checkouts: Vec<String>,
+    namespaces: Vec<BTreeMap<String, String>>,
+    /// `total_allocated` after every cell run and checkout.
+    allocated: Vec<u64>,
+    /// The store's blobs at the end (`None` where a read failed).
+    blobs: Vec<Option<Vec<u8>>>,
+}
+
 /// Run [`SCRIPT`], then check out every checkpoint (oldest→newest→oldest),
 /// returning every comparable observation. Cells whose index is in
 /// `no_store` run with `store_data: false` — their checkpoints hold code
 /// only, so checking them out takes the replay (fallback recomputation)
-/// path.
-fn run_scripted(
-    mut s: KishuSession,
-    no_store: &[usize],
-) -> (Vec<String>, Vec<String>, Vec<BTreeMap<String, String>>) {
-    let mut cell_keys = Vec::new();
+/// path. With `sweep_every_op` the heap is also swept after every cell run
+/// and checkout.
+fn run_scripted(mut s: KishuSession, no_store: &[usize], sweep_every_op: bool) -> Scripted {
+    let mut allocated = Vec::new();
+    let mut after_op = |s: &mut KishuSession| {
+        if sweep_every_op {
+            s.interp.gc();
+        }
+        allocated.push(s.interp.heap.total_allocated());
+    };
+    let mut cells = Vec::new();
     let mut nodes: Vec<NodeId> = Vec::new();
     for (i, src) in SCRIPT.iter().enumerate() {
         let report = s.run_cell_with(src, !no_store.contains(&i)).expect("script cells parse");
+        after_op(&mut s);
         if let Some(node) = report.node {
             nodes.push(node);
         }
-        cell_keys.push(cell_report_key(&report));
+        cells.push(cell_report_key(&report));
     }
-    let mut checkout_keys = Vec::new();
+    let mut checkouts = Vec::new();
     let mut namespaces = Vec::new();
     for &node in nodes.iter().chain(nodes.iter().rev()) {
         let report = s.checkout(node).expect("checkout");
-        checkout_keys.push(checkout_report_key(&report));
-        namespaces.push(namespace(&s));
+        after_op(&mut s);
+        checkouts.push(checkout_report_key(&report));
+        namespaces.push(namespace_with_ids(&s));
     }
-    (cell_keys, checkout_keys, namespaces)
+    let store = s.store();
+    let blobs = (0..store.blob_count()).map(|i| store.get(i).ok()).collect();
+    Scripted {
+        cells,
+        checkouts,
+        namespaces,
+        allocated,
+        blobs,
+    }
 }
 
 #[test]
 fn session_reports_and_checkouts_match_across_engines() {
     for workers in [1usize, 4] {
         let settings = Settings::from_env();
-        let tree = run_scripted(settings.in_memory_session_with(config(false, workers)), &[]);
-        let vm = run_scripted(settings.in_memory_session_with(config(true, workers)), &[]);
+        let tree =
+            run_scripted(settings.in_memory_session_with(config(false, workers)), &[], false);
+        let vm = run_scripted(settings.in_memory_session_with(config(true, workers)), &[], false);
         assert_eq!(tree, vm, "engine divergence at {workers} workers");
     }
 }
@@ -218,15 +261,17 @@ fn session_reports_and_checkouts_match_across_engines() {
 /// Run the scripted session over a seeded fault store, with the `bump`
 /// cell stored code-only so its co-variables restore by replay — checkouts
 /// exercise fallback recomputation under live faults.
-fn run_faulty(vm: bool, workers: usize, seed: u64) -> (
-    FaultLedger,
-    (Vec<String>, Vec<String>, Vec<BTreeMap<String, String>>),
-) {
+fn run_faulty(
+    vm: bool,
+    workers: usize,
+    seed: u64,
+    sweep_every_op: bool,
+) -> (FaultLedger, Scripted) {
     let inner = Box::new(Settings::from_env().memory_store());
     let store = FaultStore::new(inner, FaultPlan::transient(0.05), seed);
     let ledger = store.ledger_handle();
     let s = KishuSession::new(Box::new(store), config(vm, workers));
-    let observed = run_scripted(s, &[1]);
+    let observed = run_scripted(s, &[1], sweep_every_op);
     (ledger.snapshot(), observed)
 }
 
@@ -234,8 +279,8 @@ fn run_faulty(vm: bool, workers: usize, seed: u64) -> (
 fn fault_ledgers_and_recovery_match_across_engines() {
     let seed = env_seed(20250807);
     for workers in [1usize, 4] {
-        let tree = run_faulty(false, workers, seed);
-        let vm = run_faulty(true, workers, seed);
+        let tree = run_faulty(false, workers, seed, false);
+        let vm = run_faulty(true, workers, seed, false);
         assert_eq!(
             tree.0, vm.0,
             "fault ledgers diverged at {workers} workers (seed {seed})"
@@ -244,6 +289,28 @@ fn fault_ledgers_and_recovery_match_across_engines() {
             tree.1, vm.1,
             "degraded-path observations diverged at {workers} workers (seed {seed})"
         );
+    }
+}
+
+/// Level 4: sweeping the heap after every operation is invisible — the
+/// degraded-path session (faults, replay-based restore) observes exactly
+/// what it observes at the default pacing, on both engines and widths.
+#[test]
+fn sweeping_after_every_operation_is_behavior_free_on_both_engines() {
+    let seed = env_seed(20250807);
+    for vm in [false, true] {
+        for workers in [1usize, 4] {
+            let paced = run_faulty(vm, workers, seed, false);
+            let swept = run_faulty(vm, workers, seed, true);
+            assert_eq!(
+                paced.0, swept.0,
+                "fault ledgers diverged under sweeps (vm={vm}, {workers} workers, seed {seed})"
+            );
+            assert_eq!(
+                paced.1, swept.1,
+                "observations diverged under sweeps (vm={vm}, {workers} workers, seed {seed})"
+            );
+        }
     }
 }
 
